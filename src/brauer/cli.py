@@ -21,8 +21,10 @@ from .errors import BrauerError, ParseError, ResourceLimit
 from .factorize import factorize, factorize_naive, verify
 from .tangle import (
     NodeRef,
+    Prime,
     Row,
     Tangle,
+    Word,
     compose_word,
     format_tangle,
     format_word,
@@ -102,11 +104,11 @@ def _cmd_compose(args: argparse.Namespace, out: TextIO) -> None:
 
 def _cmd_reduce(args: argparse.Namespace, out: TextIO) -> None:
     text = " ".join(args.word) if args.word else sys.stdin.read()
-    tokens = text.split()
+    factors = tuple(Prime.parse(tok) for tok in text.split())
     n = args.n
     if n is None:
-        n = max((int(tok[1:]) for tok in tokens), default=0) + 1
-    result = rw.reduce(parse_word(text, n), max_orbit=args.max_orbit)
+        n = max((p.index for p in factors), default=0) + 1
+    result = rw.reduce(Word(n, factors), max_orbit=args.max_orbit)
     if result.exhausted:
         print("warning: orbit cap hit; result may not be minimal", file=sys.stderr)
     out.write(format_word(result.word) + "\n")

@@ -32,6 +32,10 @@ class IndexOutOfRange(BrauerError):
     """A node or generator index is outside 1..N (or 1..N-1)."""
 
 
+class InvalidPairing(BrauerError):
+    """A pairing array is not a fixed-point-free involution of range(2N)."""
+
+
 class SelfLoop(BrauerError):
     """An edge connects a node to itself."""
 

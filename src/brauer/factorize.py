@@ -33,6 +33,7 @@ from .tangle import (
     compose_word,
     merge,
     prime,
+    signed_to_word,
 )
 from .tau import length_p, tau
 
@@ -58,9 +59,8 @@ def factorize(x: Tangle, *, min_t: bool = False, debug_table: bool = False) -> W
     and any drift raises InternalError.
     """
     indices = factor_indices(x)
-    encoded = factorize_core(x.n, list(x.pairing), indices, min_t, debug_table)
-    return Word(
-        x.n, tuple(Prime("T" if k > 0 else "U", abs(k)) for k in encoded)
+    return signed_to_word(
+        x.n, factorize_core(x.n, list(x.pairing), indices, min_t, debug_table)
     )
 
 

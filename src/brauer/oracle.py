@@ -27,14 +27,18 @@ from typing import Callable, Iterable, Iterator, TextIO
 from .errors import MergeUndefined, ParseError, ResourceLimit
 from .tangle import (
     EdgeKind,
-    Prime,
     Tangle,
     Word,
     format_tangle,
     format_word,
+    identity,
     merge,
     parse_tangle,
     parse_word,
+    right_multiply,
+    signed_to_word,
+    total_crossings,
+    word_to_signed,
 )
 
 Pairing = tuple[int, ...]
@@ -51,18 +55,20 @@ def double_factorial_odd(n: int) -> int:
 @dataclass(frozen=True, slots=True)
 class DbEntry:
     length: int
-    word: bytes  # one byte per factor: index, high bit set for U
+    word: bytes  # the signed-int word, one byte per factor: T_i is i, U_i is i | 0x80
     t_count: int
 
 
+# A byte per factor keeps the N=8 store (2M words) small; ints would not.
+_FROM_BYTE = tuple(b if b < 0x80 else 0x80 - b for b in range(256))
+
+
+def _to_byte(v: int) -> int:
+    return v if v > 0 else -v | 0x80
+
+
 def _decode_word(n: int, enc: bytes) -> Word:
-    return Word(
-        n, tuple(Prime("U" if b & 0x80 else "T", b & 0x7F) for b in enc)
-    )
-
-
-def _encode_factor(index: int, is_u: bool) -> int:
-    return index | 0x80 if is_u else index
+    return signed_to_word(n, map(_FROM_BYTE.__getitem__, enc))
 
 
 @dataclass
@@ -100,35 +106,17 @@ class MinimalDatabase:
 
 
 # ---------------------------------------------------------------------------
-# Right composition with a single prime, specialised for BFS speed.
+# Expansion
 
 
-def _rcompose_t(pairing: Pairing, n: int, i: int) -> Pairing | None:
-    """pairing of X . T_i, or None when it equals X (lower hook at i)."""
-    bi = 2 * n - i
-    bj = bi - 1
-    a = pairing[bi]
-    if a == bj:
-        return None
-    b = pairing[bj]
-    out = list(pairing)
-    out[bj], out[a] = a, bj
-    out[bi], out[b] = b, bi
-    return tuple(out)
-
-
-def _rcompose_u(pairing: Pairing, n: int, i: int) -> Pairing | None:
-    """pairing of X . U_i, or None when it equals X."""
-    bi = 2 * n - i
-    bj = bi - 1
-    a = pairing[bi]
-    if a == bj:
-        return None
-    b = pairing[bj]
-    out = list(pairing)
-    out[a], out[b] = b, a
-    out[bi], out[bj] = bj, bi
-    return tuple(out)
+def _children(parent: Pairing, n: int, sign: int) -> list[Pairing | None]:
+    """Pairings of parent . T_i (sign 1) or parent . U_i (sign -1) for
+    i = 1..n-1, with None where the product equals the parent."""
+    row: list[Pairing | None] = []
+    for i in range(1, n):
+        child = list(parent)
+        row.append(tuple(child) if right_multiply(child, n, sign * i) else None)
+    return row
 
 
 _WORKER_N = 0
@@ -139,11 +127,9 @@ def _pool_init(n: int) -> None:
     _WORKER_N = n
 
 
-def _expand_chunk(args: tuple[list[Pairing], str]) -> list[list[Pairing | None]]:
-    parents, kind = args
-    fn = _rcompose_u if kind == "U" else _rcompose_t
-    n = _WORKER_N
-    return [[fn(p, n, i) for i in range(1, n)] for p in parents]
+def _expand_chunk(args: tuple[list[Pairing], int]) -> list[list[Pairing | None]]:
+    parents, sign = args
+    return [_children(p, _WORKER_N, sign) for p in parents]
 
 
 def bfs_cayley(
@@ -160,19 +146,18 @@ def bfs_cayley(
     """
     if n < 1:
         raise ResourceLimit(f"n must be >= 1, got {n}")
-    ident = tuple(2 * n - 1 - p for p in range(2 * n))
+    ident = identity(n).pairing
     entries: dict[Pairing, DbEntry] = {ident: DbEntry(0, b"", 0)}
     level: list[Pairing] = [ident]
     pool = ProcessPoolExecutor(jobs, initializer=_pool_init, initargs=(n,)) if jobs > 1 else None
 
-    def children_of(parents: list[Pairing], kind: str) -> Iterable[list[Pairing | None]]:
+    def children_of(parents: list[Pairing], sign: int) -> Iterable[list[Pairing | None]]:
         if pool is None:
-            fn = _rcompose_u if kind == "U" else _rcompose_t
-            return ([fn(p, n, i) for i in range(1, n)] for p in parents)
+            return (_children(p, n, sign) for p in parents)
         chunk = max(1, len(parents) // (8 * jobs))
         chunks = [parents[k : k + chunk] for k in range(0, len(parents), chunk)]
         rows: list[list[Pairing | None]] = []
-        for block in pool.map(_expand_chunk, [(c, kind) for c in chunks]):
+        for block in pool.map(_expand_chunk, [(c, sign) for c in chunks]):
             rows.extend(block)
         return rows
 
@@ -184,17 +169,17 @@ def bfs_cayley(
             next_level: list[Pairing] = []
             t_values = sorted(set(groups) | {t + 1 for t in groups})
             for t in t_values:
-                for kind, parents in (("U", groups.get(t, [])), ("T", groups.get(t - 1, []))):
+                for sign, parents in ((-1, groups.get(t, [])), (1, groups.get(t - 1, []))):
                     if not parents:
                         continue
-                    for parent, row in zip(parents, children_of(parents, kind)):
+                    for parent, row in zip(parents, children_of(parents, sign)):
                         parent_entry = entries[parent]
                         for i, child in enumerate(row, start=1):
                             if child is None or child in entries:
                                 continue
                             entries[child] = DbEntry(
                                 parent_entry.length + 1,
-                                parent_entry.word + bytes([_encode_factor(i, kind == "U")]),
+                                parent_entry.word + bytes([_to_byte(sign * i)]),
                                 t,
                             )
                             next_level.append(child)
@@ -275,24 +260,8 @@ class Assumption2Report:
 def check_assumption2(db: MinimalDatabase) -> Assumption2Report:
     """Compare every tangle's crossing number with its stored minimal
     T-count; any mismatch is a counterexample (none are known)."""
-    bad: list[Tangle] = []
-    for x, entry in db.items():
-        crossings = _total_crossings_pairing(db.n, x.pairing)
-        if crossings != entry.t_count:
-            bad.append(x)
+    bad = [x for x, entry in db.items() if total_crossings(x) != entry.t_count]
     return Assumption2Report(db.n, len(db), tuple(bad))
-
-
-def _total_crossings_pairing(n: int, pairing: Pairing) -> int:
-    reps = [(p, q) for p, q in enumerate(pairing) if q > p]
-    count = 0
-    for i in range(len(reps)):
-        a, b = reps[i]
-        for j in range(i + 1, len(reps)):
-            c, d = reps[j]
-            if (a < c < b) != (a < d < b):
-                count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +295,7 @@ def load_database(fh: TextIO) -> MinimalDatabase:
         word = parse_word(parts[2], x.n)
         if len(word) != int(parts[1]):
             raise ParseError(f"length field disagrees with word in {line!r}")
-        enc = bytes(
-            _encode_factor(p.index, p.kind == "U") for p in word.factors
-        )
+        enc = bytes(map(_to_byte, word_to_signed(word)))
         entries[x.pairing] = DbEntry(len(word), enc, word.t_count())
     if n is None:
         raise ParseError("empty database file")

@@ -20,12 +20,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NoMatch
-from .oracle import MinimalDatabase, _rcompose_t, _rcompose_u, double_factorial_odd
-from .tangle import Prime, Word
+from .oracle import MinimalDatabase, double_factorial_odd
+from .tangle import Word, identity, right_multiply, signed_to_word, word_to_signed
 
 # Internal word form: factor T_i is +i, factor U_i is -i.
 _Factors = tuple[int, ...]
-_Pairing = tuple[int, ...]
 
 
 class RuleKind(enum.Enum):
@@ -92,14 +91,6 @@ _MOVES = tuple(
 )
 
 
-def _signed(factor: Prime) -> int:
-    return factor.index if factor.kind == "T" else -factor.index
-
-
-def _to_primes(factors: _Factors) -> tuple[Prime, ...]:
-    return tuple(Prime("T" if v > 0 else "U", abs(v)) for v in factors)
-
-
 def _match(
     pattern: tuple[str, ...], factors: _Factors, pos: int, constraint: Constraint
 ) -> dict[str, int] | None:
@@ -145,11 +136,10 @@ def apply_rule(
     word: Word, pos: int, rule: RewriteRule, direction: Direction = Direction.LR
 ) -> Word:
     """Apply one axiom at a position; the result composes to the same tangle."""
-    factors = tuple(_signed(p) for p in word.factors)
-    result = _apply_at(factors, pos, rule, direction)
+    result = _apply_at(word_to_signed(word), pos, rule, direction)
     if result is None:
         raise NoMatch(f"{rule} does not match {word} at {pos} ({direction.value})")
-    return Word(word.n, _to_primes(result))
+    return signed_to_word(word.n, result)
 
 
 def _first_delete(factors: _Factors) -> _Factors | None:
@@ -180,7 +170,7 @@ def reduce(word: Word, *, max_orbit: int = DEFAULT_MAX_ORBIT) -> ReduceResult:
     orbit is searched breadth-first (bounded by max_orbit visited words)
     for any member that re-enables a delete.
     """
-    factors = tuple(_signed(p) for p in word.factors)
+    factors = word_to_signed(word)
     exhausted = False
     while True:
         while (shorter := _first_delete(factors)) is not None:
@@ -208,7 +198,7 @@ def reduce(word: Word, *, max_orbit: int = DEFAULT_MAX_ORBIT) -> ReduceResult:
             if exhausted:
                 break
         if found is None:
-            return ReduceResult(Word(word.n, _to_primes(factors)), exhausted)
+            return ReduceResult(signed_to_word(word.n, factors), exhausted)
         factors = found
 
 
@@ -247,13 +237,17 @@ def check_assumption1(
     # can be generated non-minimally.
     longest = max(3, int(scale * n * (n - 1) / 2))
     primes = [i for i in range(1, n)] + [-i for i in range(1, n)]
-    tested: set[_Pairing] = set()
+    ident = identity(n).pairing
+    tested: set[tuple[int, ...]] = set()
     bad: list[Word] = []
     exhausted_samples = 0
     while len(tested) < total and patience > 0:
         length = rng.randint(2, longest)
         factors = tuple(rng.choice(primes) for _ in range(length))
-        pairing = _compose_signed(n, factors)
+        product = list(ident)
+        for v in factors:
+            right_multiply(product, n, v)
+        pairing = tuple(product)
         entry = db.entries[pairing]
         if entry.length == length:
             continue  # only non-minimal factorizations are informative
@@ -261,20 +255,13 @@ def check_assumption1(
             patience -= 1
             continue
         tested.add(pairing)
-        result = reduce(Word(n, _to_primes(factors)), max_orbit=max_orbit)
+        word = signed_to_word(n, factors)
+        result = reduce(word, max_orbit=max_orbit)
         if result.exhausted:
             exhausted_samples += 1
         elif len(result.word) != entry.length:
-            bad.append(Word(n, _to_primes(factors)))
+            bad.append(word)
     return Assumption1Report(
         n, len(tested), total, tuple(bad), exhausted_samples, seed
     )
 
-
-def _compose_signed(n: int, factors: _Factors) -> _Pairing:
-    pairing: _Pairing = tuple(2 * n - 1 - p for p in range(2 * n))
-    for v in factors:
-        nxt = _rcompose_t(pairing, n, v) if v > 0 else _rcompose_u(pairing, n, -v)
-        if nxt is not None:
-            pairing = nxt
-    return pairing

@@ -13,7 +13,8 @@ i' (so the bottom row is traversed right to left):
 In this cyclic order two edges cross if and only if their endpoint
 positions interleave, so crossing counts are purely combinatorial and the
 drawing never has to exist.  pairing[p] == q means positions p and q are
-joined; the array is a fixed-point-free involution of range(2N).
+joined; the array is a fixed-point-free involution of range(2N), which
+every Tangle checks on construction (InvalidPairing otherwise).
 
 Edges are exposed to callers in the canonical form of the matching model:
 a hook lists its smaller index first, a transversal lists the top node
@@ -23,7 +24,11 @@ text emission deterministic.
 
 Words are sequences of the prime generators T_i (adjacent crossing) and
 U_i (adjacent cup/cap); the first factor of a word is the topmost factor
-of the composition.  All values here are immutable and all operations are
+of the composition.  Word and Prime are the parse/print form; internally a
+word is a tuple of signed ints, +i for T_i and -i for U_i (word_to_signed,
+signed_to_word), and every product with a word is a fold of
+right_multiply, which turns the pairing list of X into that of X . P in
+place in O(1).  All values here are immutable and all other operations are
 pure functions, so everything is safe to share between threads.
 """
 
@@ -36,10 +41,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from ._kernels import crossing_counts
 from .errors import (
     DuplicateNode,
     EdgeNotInTangle,
     IndexOutOfRange,
+    InvalidPairing,
     MergeUndefined,
     NotASizeOneUpperHook,
     ParseError,
@@ -158,6 +165,24 @@ class Tangle:
 
     n: int
     pairing: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        # Getting range(m) back from all m values p[q] != q makes p a
+        # permutation of range(m), an involution and free of fixed points.
+        # A list would compare unequal to the same tuple and not hash.
+        p, m = self.pairing, 2 * self.n
+        try:
+            ok = (
+                isinstance(p, tuple)
+                and len(p) == m
+                and [p[q] for q in p if p[q] != q] == list(range(m))
+            )
+        except (IndexError, TypeError):
+            ok = False
+        if not ok:
+            raise InvalidPairing(
+                f"B_{self.n} pairing {p!r} is not a fixed-point-free involution of range({m})"
+            )
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -279,20 +304,9 @@ def identity(n: int) -> Tangle:
 
 
 def prime(n: int, p: Prime) -> Tangle:
-    """The prime tangle T_i or U_i inside B_n."""
-    i = p.index
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"{p} does not exist in B_{n}")
-    pairing = [2 * n - 1 - q for q in range(2 * n)]
-    ti, tj = i - 1, i            # top positions of columns i, i+1
-    bi, bj = 2 * n - i, 2 * n - i - 1  # bottom positions of columns i, i+1
-    if p.kind == "T":
-        pairing[ti], pairing[bj] = bj, ti
-        pairing[tj], pairing[bi] = bi, tj
-    else:
-        pairing[ti], pairing[tj] = tj, ti
-        pairing[bi], pairing[bj] = bj, bi
-    return Tangle(n, tuple(pairing))
+    """The prime tangle T_i or U_i inside B_n: the identity times p
+    (IndexOutOfRange unless i <= n-1)."""
+    return compose_word(Word(n, (p,)))
 
 
 def t_prime(n: int, i: int) -> Tangle:
@@ -348,12 +362,45 @@ def compose(x: Tangle, y: Tangle) -> Tangle:
     return Tangle(n, tuple(out))
 
 
+def word_to_signed(w: Word) -> tuple[int, ...]:
+    """The internal form of a word: +i for T_i, -i for U_i."""
+    return tuple(p.index if p.kind == "T" else -p.index for p in w.factors)
+
+
+def signed_to_word(n: int, factors: Iterable[int]) -> Word:
+    """The Word of B_n spelled by signed-int factors."""
+    return Word(n, tuple(Prime("T" if v > 0 else "U", abs(v)) for v in factors))
+
+
+def right_multiply(pairing: list[int], n: int, v: int) -> bool:
+    """Replace the pairing list of X in B_n by that of X . P in place, where
+    P is T_v for v > 0 and U_-v for v < 0 (1 <= |v| <= n-1, unchecked).
+
+    Returns False, leaving the list as it is, when X has the lower hook
+    (i', i+1'), for then X . P == X.
+    """
+    bi = 2 * n - abs(v)  # bottom position of column i
+    bj = bi - 1          # bottom position of column i+1
+    a = pairing[bi]
+    if a == bj:
+        return False
+    b = pairing[bj]
+    if v > 0:
+        pairing[bj], pairing[a] = a, bj
+        pairing[bi], pairing[b] = b, bi
+    else:
+        pairing[a], pairing[b] = b, a
+        pairing[bi], pairing[bj] = bj, bi
+    return True
+
+
 def compose_word(w: Word) -> Tangle:
-    """Fold compose over the factors, topmost first; the empty word is I_n."""
-    result = identity(w.n)
-    for p in reversed(w.factors):
-        result = compose(prime(w.n, p), result)
-    return result
+    """The product of the factors, topmost first, as a fold of
+    right_multiply from the identity; the empty word is I_n."""
+    pairing = list(identity(w.n).pairing)
+    for v in word_to_signed(w):
+        right_multiply(pairing, w.n, v)
+    return Tangle(w.n, tuple(pairing))
 
 
 def tensor(x: Tangle, y: Tangle) -> Tangle:
@@ -407,22 +454,21 @@ def components(x: Tangle) -> list[tuple[Tangle, int]]:
 # Crossings
 
 
-def _interleave(a: int, b: int, c: int, d: int) -> bool:
-    # Pairs (a,b) and (c,d) with a<b, c<d and all four distinct.
-    return (a < c < b) != (a < d < b)
-
-
 def crossing_pairs(x: Tangle) -> set[tuple[Edge, Edge]]:
-    """All unordered pairs of crossing edges (each pair in canonical order)."""
+    """All unordered pairs of crossing edges (each pair in canonical order).
+
+    The one pair enumerator; it shares no code with the kernel's per-edge
+    counts, which the tests check against it.
+    """
     out: set[tuple[Edge, Edge]] = set()
     edges = x.edges
     pos = [
-        (node_position(x.n, e.a), node_position(x.n, e.b)) for e in edges
+        sorted((node_position(x.n, e.a), node_position(x.n, e.b))) for e in edges
     ]
-    pos = [(min(p), max(p)) for p in pos]
-    for i in range(len(edges)):
+    for i, (a, b) in enumerate(pos):
         for j in range(i + 1, len(edges)):
-            if _interleave(*pos[i], *pos[j]):
+            c, d = pos[j]
+            if (a < c < b) != (a < d < b):
                 out.add((edges[i], edges[j]))
     return out
 
@@ -431,25 +477,14 @@ def edge_crossings(x: Tangle, e: Edge) -> int:
     """Number of edges of x crossing e (e must belong to x)."""
     if e not in x.edge_set:
         raise EdgeNotInTangle(f"{e} not in {x}")
-    a = node_position(x.n, e.a)
-    b = node_position(x.n, e.b)
-    a, b = min(a, b), max(a, b)
-    count = 0
-    for p, q in enumerate(x.pairing):
-        if q > p and p != a and _interleave(a, b, p, q):
-            count += 1
-    return count
+    return crossing_counts(x.n, x.pairing)[node_position(x.n, e.a)]
 
 
 def total_crossings(x: Tangle) -> int:
-    """|crossing_pairs(x)| without materialising the pairs."""
-    pos = [(p, q) for p, q in enumerate(x.pairing) if q > p]
-    count = 0
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if _interleave(*pos[i], *pos[j]):
-                count += 1
-    return count
+    """|crossing_pairs(x)| without materialising the pairs: the kernel's
+    per-position counts see each crossing at the four endpoints of its two
+    edges."""
+    return sum(crossing_counts(x.n, x.pairing)) // 4
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,10 @@ def node_polarity(x: Tangle, node: NodeRef) -> Polarity:
     return Polarity.PLUS if left else Polarity.MINUS
 
 
-def _per_edge_counts(x: Tangle) -> list[int]:
-    return crossing_counts(x.n, x.pairing)
-
-
 def polarity_labels(x: Tangle) -> dict[NodeRef, tuple[Polarity, int]]:
     """Labels for the rewired nodes: the j-th node of each sign per row,
     counted left to right.  Nodes on kept edges carry no label."""
-    counts = _per_edge_counts(x)
+    counts = crossing_counts(x.n, x.pairing)
     labels: dict[NodeRef, tuple[Polarity, int]] = {}
     for row in (Row.TOP, Row.BOTTOM):
         counters = {Polarity.PLUS: 0, Polarity.MINUS: 0}
@@ -87,7 +83,7 @@ def tau(x: Tangle) -> Tangle:
     Edges with crossings >= size are copied; all other nodes are joined
     top to bottom by equal polarity label.
     """
-    counts = _per_edge_counts(x)
+    counts = crossing_counts(x.n, x.pairing)
     pairs: list[tuple[NodeRef, NodeRef]] = []
     for e in x.edges:
         p = node_position(x.n, e.a)
@@ -112,7 +108,7 @@ def pass_count(x: Tangle, e: Edge) -> int:
 
 def length_p(x: Tangle) -> int:
     """Minimal factorization length as half the sum of pass counts."""
-    counts = _per_edge_counts(x)
+    counts = crossing_counts(x.n, x.pairing)
     total = 0
     for p, q in enumerate(x.pairing):
         if q > p:

@@ -78,6 +78,13 @@ def test_reduce(capsys, monkeypatch):
     assert (status, out) == (0, "U2\n")
 
 
+def test_reduce_bad_token_is_a_parse_error(capsys, monkeypatch):
+    status, out, err = run(["reduce", "Tx1"], "", capsys, monkeypatch)
+    assert status == 1
+    assert out == ""
+    assert "ParseError" in err
+
+
 def test_oracle_table_csv(capsys, monkeypatch):
     status, out, _ = run(["oracle", "table", "4"], "", capsys, monkeypatch)
     assert status == 0

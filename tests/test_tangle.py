@@ -11,6 +11,7 @@ from brauer.errors import (
     DuplicateNode,
     EdgeNotInTangle,
     IndexOutOfRange,
+    InvalidPairing,
     MergeUndefined,
     NotASizeOneUpperHook,
     ParseError,
@@ -22,6 +23,7 @@ from brauer.tangle import (
     Axis,
     EdgeKind,
     Prime,
+    Tangle,
     Word,
     components,
     compose,
@@ -39,9 +41,13 @@ from brauer.tangle import (
     prime,
     random_tangle,
     reflect,
+    right_multiply,
+    signed_to_word,
     t_prime,
     tensor,
+    total_crossings,
     u_prime,
+    word_to_signed,
 )
 
 EX_B3 = "B3: (1,3) (2,1') (2',3')"
@@ -53,6 +59,14 @@ def random_word(n: int, length: int, rng: random.Random) -> Word:
         Prime(rng.choice("TU"), rng.randrange(1, n)) for _ in range(length)
     )
     return Word(n, factors)
+
+
+def reference_product(w: Word):
+    """The product of a word by full-tangle compose, bottom factor first."""
+    out = identity(w.n)
+    for p in reversed(w.factors):
+        out = compose(prime(w.n, p), out)
+    return out
 
 
 class TestConstruction:
@@ -94,6 +108,41 @@ class TestConstruction:
         assert format_tangle(u_prime(3, 2)) == "B3: (1,1') (2,3) (2',3')"
         with pytest.raises(IndexOutOfRange):
             prime(2, Prime("T", 2))
+
+    def test_primes_by_edges(self):
+        for n in range(2, 7):
+            for i in range(1, n):
+                rest = [(j, f"{j}'") for j in range(1, n + 1) if j not in (i, i + 1)]
+                t = make_tangle(n, rest + [(i, f"{i + 1}'"), (i + 1, f"{i}'")])
+                u = make_tangle(n, rest + [(i, i + 1), (f"{i}'", f"{i + 1}'")])
+                assert t_prime(n, i) == t
+                assert u_prime(n, i) == u
+
+    @pytest.mark.parametrize(
+        "n,pairing",
+        [
+            (2, (100000000, 2, 1, 0)),  # index out of range
+            (2, (3, 2, 1, 0, 0)),  # wrong length
+            (2, (-1, 2, 1, 0)),  # negative index
+            (2, (0, 2, 1, 3)),  # fixed points
+            (2, (1, 2, 3, 0)),  # a permutation, not an involution
+            (1, (1.0, 0)),  # not an int
+            (2, [1, 0, 3, 2]),  # not a tuple
+            (1, (1, 0, 2)),  # too long, the extra entry a fixed point
+            (-1, ()),
+        ],
+    )
+    def test_invalid_pairing(self, n, pairing):
+        with pytest.raises(InvalidPairing):
+            Tangle(n, pairing)
+
+    def test_invalid_pairing_never_reaches_the_kernels(self):
+        from brauer import factorize, length_p
+
+        with pytest.raises(InvalidPairing):
+            length_p(Tangle(2, (100000000, 2, 1, 0)))
+        with pytest.raises(InvalidPairing):
+            factorize(Tangle(2, (3, 2, 1, 0, 0)))
 
 
 class TestEdges:
@@ -161,6 +210,32 @@ class TestCompose:
             assert compose(identity(n), a) == a
             assert compose(a, identity(n)) == a
 
+    def test_fold_matches_reference(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randrange(2, 9)
+            w = random_word(n, rng.randrange(0, 20), rng)
+            assert compose_word(w) == reference_product(w)
+
+    @pytest.mark.parametrize("kind", ["T", "U"])
+    def test_prime_after_lower_hook_is_no_op(self, kind):
+        # U_i leaves the lower hook (i', i+1'), which absorbs T_i and U_i.
+        for n in range(2, 7):
+            for i in range(1, n):
+                pairing = list(u_prime(n, i).pairing)
+                v = i if kind == "T" else -i
+                assert not right_multiply(pairing, n, v)
+                assert tuple(pairing) == u_prime(n, i).pairing
+                w = parse_word(f"T1 U{i} {kind}{i}", n)
+                assert compose_word(w) == reference_product(w)
+                assert compose_word(w) == compose_word(parse_word(f"T1 U{i}", n))
+
+    def test_signed_codec_roundtrip(self):
+        w = parse_word("T1 U2 U3 T1 T2", 4)
+        assert word_to_signed(w) == (1, -2, -3, 1, 2)
+        assert signed_to_word(4, (1, -2, -3, 1, 2)) == w
+        assert word_to_signed(Word(3, ())) == ()
+
     def test_words_compose_to_valid_tangles(self):
         rng = random.Random(17)
         for _ in range(300):
@@ -206,6 +281,7 @@ class TestCrossings:
             x = random_tangle(rng.randrange(1, 8), rng)
             total = sum(edge_crossings(x, e) for e in x.edges)
             assert total == 2 * len(crossing_pairs(x))
+            assert total_crossings(x) == len(crossing_pairs(x))
 
 
 class TestComponents:
