@@ -1,26 +1,19 @@
 """Build the optional compiled kernel.
 
 The package is fully functional without it (brauer._kernels falls back to
-the pure-Python twin at import time), so a missing Cython or C compiler
-only costs speed, not features.
+the pure-Python twin at import time), so a missing C compiler only costs
+speed, not features: optional=True turns a failed compile into a warning.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "brauer._kernels._speedups",
-                ["src/brauer/_kernels/_speedups.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "brauer._kernels._speedups",
+            ["src/brauer/_kernels/_speedups.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

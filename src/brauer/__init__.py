@@ -65,5 +65,5 @@ __version__ = "0.1.0"
 
 
 def backend() -> str:
-    """Name of the active kernel backend: "cython" or "pure"."""
+    """Name of the active kernel backend: "c" (the compiled _speedups.c) or "pure"."""
     return BACKEND

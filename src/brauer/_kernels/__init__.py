@@ -1,8 +1,9 @@
 """Kernel backend selection.
 
-The compiled extension is used when it was built; otherwise the pure-Python
-twin takes over transparently.  Set BRAUER_PURE=1 to force the fallback
-(useful for benchmarking and for debugging the kernels themselves).
+The C extension built from _speedups.c is used when it was built;
+otherwise the pure-Python twin in pure.py takes over transparently.  Set
+BRAUER_PURE=1 to force the fallback (useful for benchmarking and for
+debugging the kernels themselves).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ else:
     try:
         from . import _speedups as impl  # type: ignore[no-redef]
 
-        BACKEND = "cython"
+        BACKEND = "c"
     except ImportError:
         impl = pure
         BACKEND = "pure"

@@ -1,9 +1,12 @@
-"""Pure-Python twin of the compiled kernels in _speedups.pyx.
+"""Pure-Python kernels, the reference for their C twin in _speedups.c.
 
 Both modules implement exactly the same contract on the position encoding
 of a tangle (see brauer.tangle): positions 0..n-1 are the top row left to
-right, positions n..2n-1 the bottom row right to left, and pairing is a
-fixed-point-free involution.  Keep the two implementations in sync.
+right, positions n..2n-1 the bottom row right to left.  Both check their
+arguments the same way: a pairing that is not a fixed-point-free
+involution of range(2n) raises InvalidPairing, a factor index outside
+1..n-1 raises IndexOutOfRange, and a value without __index__ raises
+TypeError.  Keep the two implementations in sync, messages included.
 
 factorize_core consumes the index sequence extracted from the bubble-sort
 factorization of the crossing-minimal permutation image.  For each index i
@@ -16,11 +19,27 @@ length test is linear per candidate.
 
 from __future__ import annotations
 
-from brauer.errors import InternalError, NoViableMerge
+import operator
+
+from brauer.errors import IndexOutOfRange, InternalError, InvalidPairing, NoViableMerge
+
+
+def _checked_pairing(n, pairing):
+    """(n, pairing as a list of ints), or InvalidPairing unless the pairing
+    is a fixed-point-free involution of range(2n)."""
+    n = operator.index(n)
+    mate = [operator.index(v) for v in pairing]
+    m = 2 * n
+    if len(mate) != m or not all(0 <= q < m and q != p and mate[q] == p for p, q in enumerate(mate)):
+        raise InvalidPairing(
+            f"pairing is not a fixed-point-free involution of range(2n) for n = {n}"
+        )
+    return n, mate
 
 
 def crossing_counts(n, pairing):
     """Per-position crossing counts: out[p] = crossings of the edge at p."""
+    n, pairing = _checked_pairing(n, pairing)
     m = 2 * n
     out = [0] * m
     reps = [p for p in range(m) if pairing[p] > p]
@@ -85,8 +104,12 @@ def _ranked_reps(n, mate):
 def factorize_core(n, pairing, indices, min_t=False, debug=False):
     """Run the incremental factorization loop; returns signed factor codes
     (+i for T_i, -i for U_i)."""
+    n, mate = _checked_pairing(n, pairing)
+    indices = [operator.index(i) for i in indices]
+    for i in indices:
+        if not 1 <= i <= n - 1:
+            raise IndexOutOfRange(f"factor index {i} outside 1..{n - 1}")
     m = 2 * n
-    mate = list(pairing)
     col = [p + 1 if p < n else 2 * n - p for p in range(m)]
     tc = crossing_counts(n, mate)
     sz = [abs(col[p] - col[mate[p]]) for p in range(m)]

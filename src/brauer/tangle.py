@@ -229,9 +229,15 @@ class Prime:
     @staticmethod
     def parse(token: str) -> Prime:
         token = token.strip()
-        if len(token) < 2 or token[0] not in "TU" or not token[1:].isdigit():
-            raise ParseError(f"bad prime token {token!r}")
-        return Prime(token[0], int(token[1:]))
+        # isdigit() also admits digits int() rejects ("²"), and int() refuses
+        # strings of more than sys.get_int_max_str_digits() digits.
+        try:
+            if len(token) < 2 or token[0] not in "TU" or not token[1:].isdigit():
+                raise ValueError
+            index = int(token[1:])
+        except ValueError:
+            raise ParseError(f"bad prime token {token!r}") from None
+        return Prime(token[0], index)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Shared helpers: an independent matching enumerator and database fixtures.
+"""Shared helpers: an independent matching enumerator, database fixtures,
+the C kernel built from source and a kernel-outcome comparator.
 
 all_tangles enumerates perfect matchings directly (pair the first free
 position with every other free position, recurse), so database-completeness
@@ -7,10 +8,17 @@ tests do not lean on the breadth-first search they are checking.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import shutil
+import sysconfig
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
+import brauer
+from brauer.errors import BrauerError
 from brauer.oracle import MinimalDatabase, cached_database
 from brauer.tangle import Tangle
 
@@ -37,7 +45,38 @@ def all_tangles(n: int) -> Iterator[Tangle]:
         yield Tangle(n, pairing)
 
 
+def outcome(fn, *args):
+    """fn's result, or the class and message of the BrauerError it raised."""
+    try:
+        return fn(*args)
+    except BrauerError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.fixture(scope="session")
 def db() -> dict[int, MinimalDatabase]:
     """Databases for B_1..B_6, built once per test session."""
     return {n: cached_database(n) for n in range(1, 7)}
+
+
+@pytest.fixture(scope="session")
+def speedups(tmp_path_factory):
+    """The C kernel, built from the package's _speedups.c into a temporary
+    directory and loaded from there; skips only when no C compiler exists."""
+    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc})")
+    from setuptools import Distribution, Extension
+
+    name = "brauer._kernels._speedups"
+    source = Path(brauer.__file__).parent / "_kernels" / "_speedups.c"
+    out = tmp_path_factory.mktemp("speedups")
+    dist = Distribution({"ext_modules": [Extension(name, [str(source)], extra_compile_args=["-O2"])]})
+    build = dist.get_command_obj("build_ext")
+    build.build_lib, build.build_temp = str(out), str(out / "tmp")
+    build.ensure_finalized()
+    build.run()
+    spec = importlib.util.spec_from_file_location(name, build.get_ext_fullpath(name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

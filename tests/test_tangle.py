@@ -430,6 +430,11 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             parse_tangle("3: (1,3)")
 
+    @pytest.mark.parametrize("token", ["T²", "U" + "1" * 5000, "X1", "T"])
+    def test_bad_prime_token_is_a_parse_error(self, token):
+        with pytest.raises(ParseError):
+            parse_word(token, 3)
+
     def test_word_roundtrip(self):
         rng = random.Random(3)
         for _ in range(50):
