@@ -31,7 +31,6 @@ from .tangle import (
     Edge,
     EdgeKind,
     NodeRef,
-    Prime,
     Row,
     Tangle,
     Word,

@@ -64,9 +64,11 @@ def _cross(a, b, c, d):
     return (a < c < b) != (a < d < b)
 
 
-def _merge_targets(n, hi, hj, p, q):
-    """Positions of the two replacement edges for merging hook (hi,hj) with
-    edge (p,q), or None when the combination is undefined."""
+def merge_targets(n, hi, hj, p, q):
+    """Positions (a1, b1, a2, b2) of the two replacement edges for merging
+    the upper hook (hi, hj = hi+1) with the edge (p, q), p < q, or None
+    when the pair fits none of the four cases.  The one merge table in
+    Python; tangle.merge applies it too."""
     i = hi + 1
     if q < n:  # upper hook (p+1, q+1)
         if p < hi and q > hj:
@@ -131,7 +133,7 @@ def factorize_core(n, pairing, indices, min_t=False, debug=False):
                 q = mate[p]
                 if p == hi or tc[p] >= sz[p]:
                     continue
-                tgt = _merge_targets(n, hi, hj, p, q)
+                tgt = merge_targets(n, hi, hj, p, q)
                 if tgt is None:
                     continue
                 a1, b1, a2, b2 = tgt

@@ -5,12 +5,15 @@ the oracle family (build/table/max-merges/check-a2) and the randomized
 check-a1.  Tangles are read one per line in the text format
 "B3: (1,3) (2,1') (2',3')"; words are whitespace-separated prime tokens,
 topmost factor first.  Domain errors exit with status 1 and print a
-machine-readable error name; usage errors exit with status 2.
+machine-readable error name, and so do a file that cannot be opened (the
+OSError's class name) and running out of memory (ResourceLimit); usage
+errors exit with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Iterable, TextIO
 
@@ -21,13 +24,13 @@ from .errors import BrauerError, ParseError, ResourceLimit
 from .factorize import factorize, factorize_naive, verify
 from .tangle import (
     NodeRef,
-    Prime,
     Row,
     Tangle,
     Word,
     compose_word,
     format_tangle,
     format_word,
+    parse_factors,
     parse_tangle,
     parse_word,
 )
@@ -104,10 +107,10 @@ def _cmd_compose(args: argparse.Namespace, out: TextIO) -> None:
 
 def _cmd_reduce(args: argparse.Namespace, out: TextIO) -> None:
     text = " ".join(args.word) if args.word else sys.stdin.read()
-    factors = tuple(Prime.parse(tok) for tok in text.split())
+    factors = parse_factors(text)
     n = args.n
     if n is None:
-        n = max((p.index for p in factors), default=0) + 1
+        n = max(map(abs, factors), default=0) + 1
     result = rw.reduce(Word(n, factors), max_orbit=args.max_orbit)
     if result.exhausted:
         print("warning: orbit cap hit; result may not be minimal", file=sys.stderr)
@@ -122,9 +125,7 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> None:
             progress = lambda level, total: print(
                 f"level done: +{level} tangles, {total} total", file=sys.stderr
             )
-        db = oc.bfs_cayley(
-            args.n, max_entries=args.max_nodes, jobs=args.jobs, progress=progress
-        )
+        db = oc.bfs_cayley(args.n, max_entries=args.max_nodes, progress=progress)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 oc.dump_database(db, fh)
@@ -191,6 +192,13 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> None:
         out.write(document)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brauer", description="Minimal-word factorization for the Brauer monoid."
@@ -239,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = osub.add_parser("build", help="build the B_N database and print/dump it")
     b.add_argument("n", type=int)
     b.add_argument("--huge", action="store_true", help="confirm N >= 7")
-    b.add_argument("--jobs", type=int, default=1, help="worker processes")
     b.add_argument("--max-nodes", type=int, default=None)
     b.add_argument("-o", "--output", help="write the database to a file")
     for name in ("table", "max-merges", "check-a2"):
@@ -255,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-a1", help="randomized reducibility check")
     p.add_argument("n", type=int)
-    p.add_argument("--scale", type=float, default=2.0)
+    p.add_argument("--scale", type=_finite_float, default=2.0)
     p.add_argument("--patience", type=int, default=2_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-orbit", type=int, default=rw.DEFAULT_MAX_ORBIT)
@@ -278,8 +285,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args, sys.stdout)
-    except BrauerError as exc:
-        print(f"error: {exc.name}: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: ResourceLimit: out of memory", file=sys.stderr)
+        return 1
+    except (BrauerError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

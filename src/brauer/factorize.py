@@ -25,7 +25,6 @@ from .symmetric import bubble_sort_indices, to_permutation
 from .tangle import (
     Edge,
     NodeRef,
-    Prime,
     Row,
     Tangle,
     Word,
@@ -33,7 +32,6 @@ from .tangle import (
     compose_word,
     merge,
     prime,
-    signed_to_word,
 )
 from .tau import length_p, tau
 
@@ -59,9 +57,7 @@ def factorize(x: Tangle, *, min_t: bool = False, debug_table: bool = False) -> W
     and any drift raises InternalError.
     """
     indices = factor_indices(x)
-    return signed_to_word(
-        x.n, factorize_core(x.n, list(x.pairing), indices, min_t, debug_table)
-    )
+    return Word(x.n, tuple(factorize_core(x.n, list(x.pairing), indices, min_t, debug_table)))
 
 
 def factorize_naive(x: Tangle, length_fn: Callable[[Tangle], int] = length_p) -> Word:
@@ -70,7 +66,7 @@ def factorize_naive(x: Tangle, length_fn: Callable[[Tangle], int] = length_p) ->
     lookup)."""
     n = x.n
     remaining = length_fn(x)
-    factors: list[Prime] = []
+    factors: list[int] = []
     while remaining:
         hook_index = next(
             (i for i in range(1, n) if x.pairing[i - 1] == i), None
@@ -86,16 +82,16 @@ def factorize_naive(x: Tangle, length_fn: Callable[[Tangle], int] = length_p) ->
                     continue
                 if length_fn(candidate) == remaining - 1:
                     x = candidate
-                    factors.append(Prime("U", hook_index))
+                    factors.append(-hook_index)
                     break
             else:
                 raise NoViableStep(f"no merge of {h} reduces the length of {x}")
         else:
             for i in range(1, n):
-                candidate = compose(prime(n, Prime("T", i)), x)
+                candidate = compose(prime(n, i), x)
                 if length_fn(candidate) == remaining - 1:
                     x = candidate
-                    factors.append(Prime("T", i))
+                    factors.append(i)
                     break
             else:
                 raise NoViableStep(f"no T-prime reduces the length of {x}")

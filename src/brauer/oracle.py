@@ -7,8 +7,7 @@ T-prime count of their stored word, and all U-prime edges of a count class
 are relaxed before the T-prime edges of the class below it; the first word
 recorded for a tangle therefore also has the fewest T-primes among its
 minimal words.  The expansion commits in a fixed order, so the database
-(and its text dump) is reproducible bit for bit, with or without worker
-processes.
+(and its text dump) is reproducible bit for bit.
 
 The database holds, for every tangle, the minimal length, one minimal word
 with minimal T-count, and that T-count.  Enumeration reports (the length
@@ -19,10 +18,9 @@ read from it.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .errors import MergeUndefined, ParseError, ResourceLimit
 from .tangle import (
@@ -36,9 +34,7 @@ from .tangle import (
     parse_tangle,
     parse_word,
     right_multiply,
-    signed_to_word,
     total_crossings,
-    word_to_signed,
 )
 
 Pairing = tuple[int, ...]
@@ -68,7 +64,7 @@ def _to_byte(v: int) -> int:
 
 
 def _decode_word(n: int, enc: bytes) -> Word:
-    return signed_to_word(n, map(_FROM_BYTE.__getitem__, enc))
+    return Word(n, tuple(map(_FROM_BYTE.__getitem__, enc)))
 
 
 @dataclass
@@ -119,24 +115,10 @@ def _children(parent: Pairing, n: int, sign: int) -> list[Pairing | None]:
     return row
 
 
-_WORKER_N = 0
-
-
-def _pool_init(n: int) -> None:
-    global _WORKER_N
-    _WORKER_N = n
-
-
-def _expand_chunk(args: tuple[list[Pairing], int]) -> list[list[Pairing | None]]:
-    parents, sign = args
-    return [_children(p, _WORKER_N, sign) for p in parents]
-
-
 def bfs_cayley(
     n: int,
     *,
     max_entries: int | None = None,
-    jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> MinimalDatabase:
     """Explore B_n from the identity, U-prime edges first.
@@ -149,51 +131,33 @@ def bfs_cayley(
     ident = identity(n).pairing
     entries: dict[Pairing, DbEntry] = {ident: DbEntry(0, b"", 0)}
     level: list[Pairing] = [ident]
-    pool = ProcessPoolExecutor(jobs, initializer=_pool_init, initargs=(n,)) if jobs > 1 else None
-
-    def children_of(parents: list[Pairing], sign: int) -> Iterable[list[Pairing | None]]:
-        if pool is None:
-            return (_children(p, n, sign) for p in parents)
-        chunk = max(1, len(parents) // (8 * jobs))
-        chunks = [parents[k : k + chunk] for k in range(0, len(parents), chunk)]
-        rows: list[list[Pairing | None]] = []
-        for block in pool.map(_expand_chunk, [(c, sign) for c in chunks]):
-            rows.extend(block)
-        return rows
-
-    try:
-        while level:
-            groups: dict[int, list[Pairing]] = {}
-            for pairing in level:
-                groups.setdefault(entries[pairing].t_count, []).append(pairing)
-            next_level: list[Pairing] = []
-            t_values = sorted(set(groups) | {t + 1 for t in groups})
-            for t in t_values:
-                for sign, parents in ((-1, groups.get(t, [])), (1, groups.get(t - 1, []))):
-                    if not parents:
-                        continue
-                    for parent, row in zip(parents, children_of(parents, sign)):
-                        parent_entry = entries[parent]
-                        for i, child in enumerate(row, start=1):
-                            if child is None or child in entries:
-                                continue
-                            entries[child] = DbEntry(
-                                parent_entry.length + 1,
-                                parent_entry.word + bytes([_to_byte(sign * i)]),
-                                t,
+    while level:
+        groups: dict[int, list[Pairing]] = {}
+        for pairing in level:
+            groups.setdefault(entries[pairing].t_count, []).append(pairing)
+        next_level: list[Pairing] = []
+        t_values = sorted(set(groups) | {t + 1 for t in groups})
+        for t in t_values:
+            for sign, parents in ((-1, groups.get(t, [])), (1, groups.get(t - 1, []))):
+                for parent in parents:
+                    parent_entry = entries[parent]
+                    for i, child in enumerate(_children(parent, n, sign), start=1):
+                        if child is None or child in entries:
+                            continue
+                        entries[child] = DbEntry(
+                            parent_entry.length + 1,
+                            parent_entry.word + bytes([_to_byte(sign * i)]),
+                            t,
+                        )
+                        next_level.append(child)
+                        if max_entries is not None and len(entries) > max_entries:
+                            raise ResourceLimit(
+                                f"store exceeded {max_entries} tangles at length "
+                                f"{parent_entry.length + 1}"
                             )
-                            next_level.append(child)
-                            if max_entries is not None and len(entries) > max_entries:
-                                raise ResourceLimit(
-                                    f"store exceeded {max_entries} tangles at length "
-                                    f"{parent_entry.length + 1}"
-                                )
-            if progress is not None:
-                progress(len(next_level), len(entries))
-            level = next_level
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if progress is not None:
+            progress(len(next_level), len(entries))
+        level = next_level
     return MinimalDatabase(n, entries)
 
 
@@ -295,7 +259,7 @@ def load_database(fh: TextIO) -> MinimalDatabase:
         word = parse_word(parts[2], x.n)
         if len(word) != int(parts[1]):
             raise ParseError(f"length field disagrees with word in {line!r}")
-        enc = bytes(map(_to_byte, word_to_signed(word)))
+        enc = bytes(map(_to_byte, word.factors))
         entries[x.pairing] = DbEntry(len(word), enc, word.t_count())
     if n is None:
         raise ParseError("empty database file")

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 from .errors import NoMatch
 from .oracle import MinimalDatabase, double_factorial_odd
-from .tangle import Word, identity, right_multiply, signed_to_word, word_to_signed
+from .tangle import Word, identity, right_multiply
 
-# Internal word form: factor T_i is +i, factor U_i is -i.
+# A word's factors: T_i is +i, U_i is -i.
 _Factors = tuple[int, ...]
 
 
@@ -136,10 +136,10 @@ def apply_rule(
     word: Word, pos: int, rule: RewriteRule, direction: Direction = Direction.LR
 ) -> Word:
     """Apply one axiom at a position; the result composes to the same tangle."""
-    result = _apply_at(word_to_signed(word), pos, rule, direction)
+    result = _apply_at(word.factors, pos, rule, direction)
     if result is None:
         raise NoMatch(f"{rule} does not match {word} at {pos} ({direction.value})")
-    return signed_to_word(word.n, result)
+    return Word(word.n, result)
 
 
 def _first_delete(factors: _Factors) -> _Factors | None:
@@ -170,7 +170,7 @@ def reduce(word: Word, *, max_orbit: int = DEFAULT_MAX_ORBIT) -> ReduceResult:
     orbit is searched breadth-first (bounded by max_orbit visited words)
     for any member that re-enables a delete.
     """
-    factors = word_to_signed(word)
+    factors = word.factors
     exhausted = False
     while True:
         while (shorter := _first_delete(factors)) is not None:
@@ -198,7 +198,7 @@ def reduce(word: Word, *, max_orbit: int = DEFAULT_MAX_ORBIT) -> ReduceResult:
             if exhausted:
                 break
         if found is None:
-            return ReduceResult(signed_to_word(word.n, factors), exhausted)
+            return ReduceResult(Word(word.n, factors), exhausted)
         factors = found
 
 
@@ -255,7 +255,7 @@ def check_assumption1(
             patience -= 1
             continue
         tested.add(pairing)
-        word = signed_to_word(n, factors)
+        word = Word(n, factors)
         result = reduce(word, max_orbit=max_orbit)
         if result.exhausted:
             exhausted_samples += 1

@@ -8,7 +8,7 @@ input yields byte-identical output, so pictures can be golden-tested.
 
 from __future__ import annotations
 
-from .tangle import Edge, EdgeKind, Tangle, Word, prime
+from .tangle import Edge, EdgeKind, Tangle, Word, format_word, prime
 
 COL = 40
 GAP = 120
@@ -91,13 +91,12 @@ def render_word(w: Word) -> str:
     """A factorization as a stack of one-factor diagrams, topmost first."""
     parts: list[str] = []
     y = MARGIN
-    for factor in w.factors:
-        band = prime(w.n, factor)
+    for v, name in zip(w.factors, format_word(w).split()):
         parts.append(
             f'<text x="{_fmt(MARGIN - 22)}" y="{_fmt(y + GAP / 2)}" '
-            f'font-size="12" text-anchor="start">{factor}</text>'
+            f'font-size="12" text-anchor="start">{name}</text>'
         )
-        _band(band, y, parts)
+        _band(prime(w.n, v), y, parts)
         y += GAP + 16
     if not w.factors:
         _band(Tangle(w.n, tuple(2 * w.n - 1 - p for p in range(2 * w.n))), y, parts)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotAPermutationTangle, ParseError
-from .tangle import EdgeKind, NodeRef, Prime, Row, Tangle, Word, make_tangle
+from .tangle import EdgeKind, NodeRef, Row, Tangle, Word, make_tangle
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def bubble_sort_indices(p: Permutation) -> list[int]:
 def bubble_sort_factorize(x: Tangle) -> Word:
     """Minimal T-prime word for a permutation tangle."""
     indices = bubble_sort_indices(to_permutation(x))
-    return Word(x.n, tuple(Prime("T", i) for i in indices))
+    return Word(x.n, tuple(indices))
 
 
 def is_permutation_tangle(x: Tangle) -> bool:

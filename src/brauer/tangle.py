@@ -24,12 +24,12 @@ text emission deterministic.
 
 Words are sequences of the prime generators T_i (adjacent crossing) and
 U_i (adjacent cup/cap); the first factor of a word is the topmost factor
-of the composition.  Word and Prime are the parse/print form; internally a
-word is a tuple of signed ints, +i for T_i and -i for U_i (word_to_signed,
-signed_to_word), and every product with a word is a fold of
-right_multiply, which turns the pairing list of X into that of X . P in
-place in O(1).  All values here are immutable and all other operations are
-pure functions, so everything is safe to share between threads.
+of the composition.  A Word is a tuple of signed ints, +i for T_i and -i
+for U_i; only parse_word and format_word see the "T3 U1" text.  Every
+product with a word is a fold of right_multiply, which turns the pairing
+list of X into that of X . P in place in O(1).  All values here are
+immutable and all other operations are pure functions, so everything is
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ._kernels import crossing_counts
+from ._kernels.pure import merge_targets
 from .errors import (
     DuplicateNode,
     EdgeNotInTangle,
@@ -92,7 +93,15 @@ class NodeRef:
         m = _NODE_RE.match(token.strip())
         if m is None:
             raise ParseError(f"bad node token {token!r}")
-        return NodeRef(Row.BOTTOM if m.group(2) else Row.TOP, int(m.group(1)))
+        return NodeRef(Row.BOTTOM if m.group(2) else Row.TOP, _parse_int(m.group(1)))
+
+
+def _parse_int(digits: str) -> int:
+    # int() refuses strings of more than sys.get_int_max_str_digits() digits.
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} digits is too long") from None
 
 
 def _as_node(value: NodeRef | str | int) -> NodeRef:
@@ -210,47 +219,32 @@ class Tangle:
         return format_tangle(self)
 
 
-@dataclass(frozen=True)
-class Prime:
-    """A generator T_i or U_i."""
+class Factor(int):
+    """One factor of a word: +i for T_i, -i for U_i.  It is a plain int
+    to every computation; kind ("T" or "U") is read by perfbench's tests."""
 
-    kind: str  # "T" or "U"
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("T", "U"):
-            raise ParseError(f"prime kind must be T or U, got {self.kind!r}")
-        if self.index < 1:
-            raise IndexOutOfRange(f"prime index must be >= 1, got {self.index}")
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
-
-    @staticmethod
-    def parse(token: str) -> Prime:
-        token = token.strip()
-        # isdigit() also admits digits int() rejects ("²"), and int() refuses
-        # strings of more than sys.get_int_max_str_digits() digits.
-        try:
-            if len(token) < 2 or token[0] not in "TU" or not token[1:].isdigit():
-                raise ValueError
-            index = int(token[1:])
-        except ValueError:
-            raise ParseError(f"bad prime token {token!r}") from None
-        return Prime(token[0], index)
+    @property
+    def kind(self) -> str:
+        return "T" if self > 0 else "U"
 
 
 @dataclass(frozen=True)
 class Word:
-    """A factorization: primes listed topmost factor first."""
+    """A factorization of an element of B_n: signed-int factors, topmost
+    first.  Every factor needs 1 <= |v| <= n-1 (IndexOutOfRange), since
+    compose_word folds the unchecked right_multiply."""
 
     n: int
-    factors: tuple[Prime, ...]
+    factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for p in self.factors:
-            if p.index > self.n - 1:
-                raise IndexOutOfRange(f"factor {p} needs index <= {self.n - 1} in B_{self.n}")
+        factors = tuple(map(Factor, self.factors))
+        if factors and (0 in factors or max(map(abs, factors)) >= self.n):
+            bad = next(v for v in factors if not 0 < abs(v) < self.n)
+            raise IndexOutOfRange(f"factor {bad} needs 1 <= |v| <= {self.n - 1} in B_{self.n}")
+        object.__setattr__(self, "factors", factors)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -259,7 +253,7 @@ class Word:
         return format_word(self)
 
     def t_count(self) -> int:
-        return sum(1 for p in self.factors if p.kind == "T")
+        return sum(1 for v in self.factors if v > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +261,9 @@ class Word:
 
 
 def _pairing_from_edges(n: int, pairs: Iterable[tuple[NodeRef, NodeRef]]) -> tuple[int, ...]:
-    pairing = [-1] * (2 * n)
+    # A dict, not a 2n list: n comes from outside ("B1000000000:") and must
+    # not be allocated before the edges are known to cover it.
+    mate: dict[int, int] = {}
     for a, b in pairs:
         for node in (a, b):
             if not 1 <= node.index <= n:
@@ -275,15 +271,16 @@ def _pairing_from_edges(n: int, pairs: Iterable[tuple[NodeRef, NodeRef]]) -> tup
         if a == b:
             raise SelfLoop(f"edge joins {a} to itself")
         pa, pb = node_position(n, a), node_position(n, b)
-        if pairing[pa] != -1:
+        if pa in mate:
             raise DuplicateNode(f"node {a} used twice")
-        if pairing[pb] != -1:
+        if pb in mate:
             raise DuplicateNode(f"node {b} used twice")
-        pairing[pa], pairing[pb] = pb, pa
-    for p, q in enumerate(pairing):
-        if q == -1:
-            raise UncoveredNode(f"node {position_node(n, p)} is in no edge")
-    return tuple(pairing)
+        mate[pa], mate[pb] = pb, pa
+    if len(mate) < 2 * n:
+        # The first gap lies within the first len(mate) + 1 positions.
+        p = next(p for p in range(2 * n) if p not in mate)
+        raise UncoveredNode(f"node {position_node(n, p)} is in no edge")
+    return tuple(map(mate.__getitem__, range(2 * n)))
 
 
 def make_tangle(
@@ -306,21 +303,25 @@ def identity(n: int) -> Tangle:
     """The identity tangle I_n: all zero transversals (i, i')."""
     if n < 0:
         raise IndexOutOfRange(f"n must be >= 0, got {n}")
-    return Tangle(n, tuple(2 * n - 1 - p for p in range(2 * n)))
+    return Tangle(n, tuple(range(2 * n - 1, -1, -1)))
 
 
-def prime(n: int, p: Prime) -> Tangle:
-    """The prime tangle T_i or U_i inside B_n: the identity times p
-    (IndexOutOfRange unless i <= n-1)."""
-    return compose_word(Word(n, (p,)))
+def prime(n: int, v: int) -> Tangle:
+    """The prime tangle T_v (v > 0) or U_-v (v < 0) inside B_n: the
+    identity times it (IndexOutOfRange unless 1 <= |v| <= n-1)."""
+    return compose_word(Word(n, (v,)))
 
 
 def t_prime(n: int, i: int) -> Tangle:
-    return prime(n, Prime("T", i))
+    if i < 1:
+        raise IndexOutOfRange(f"prime index must be >= 1, got {i}")
+    return prime(n, i)
 
 
 def u_prime(n: int, i: int) -> Tangle:
-    return prime(n, Prime("U", i))
+    if i < 1:
+        raise IndexOutOfRange(f"prime index must be >= 1, got {i}")
+    return prime(n, -i)
 
 
 def random_tangle(n: int, rng: random.Random) -> Tangle:
@@ -368,16 +369,6 @@ def compose(x: Tangle, y: Tangle) -> Tangle:
     return Tangle(n, tuple(out))
 
 
-def word_to_signed(w: Word) -> tuple[int, ...]:
-    """The internal form of a word: +i for T_i, -i for U_i."""
-    return tuple(p.index if p.kind == "T" else -p.index for p in w.factors)
-
-
-def signed_to_word(n: int, factors: Iterable[int]) -> Word:
-    """The Word of B_n spelled by signed-int factors."""
-    return Word(n, tuple(Prime("T" if v > 0 else "U", abs(v)) for v in factors))
-
-
 def right_multiply(pairing: list[int], n: int, v: int) -> bool:
     """Replace the pairing list of X in B_n by that of X . P in place, where
     P is T_v for v > 0 and U_-v for v < 0 (1 <= |v| <= n-1, unchecked).
@@ -404,7 +395,7 @@ def compose_word(w: Word) -> Tangle:
     """The product of the factors, topmost first, as a fold of
     right_multiply from the identity; the empty word is I_n."""
     pairing = list(identity(w.n).pairing)
-    for v in word_to_signed(w):
+    for v in w.factors:
         right_multiply(pairing, w.n, v)
     return Tangle(w.n, tuple(pairing))
 
@@ -500,8 +491,9 @@ def total_crossings(x: Tangle) -> int:
 def merge(x: Tangle, h: Edge, e: Edge) -> Tangle:
     """Merge the size-one upper hook h = (i, i+1) with edge e.
 
-    The pair (h, e) must fit one of the four defined cases; the two new
-    edges never cross, and compose(U_i, result) == x always holds.
+    The pair (h, e) must fit one of the four defined cases of the kernel's
+    merge_targets; the two new edges never cross, and
+    compose(U_i, result) == x always holds.
     """
     if h not in x.edge_set:
         raise EdgeNotInTangle(f"{h} not in {x}")
@@ -512,28 +504,16 @@ def merge(x: Tangle, h: Edge, e: Edge) -> Tangle:
     if e == h:
         raise MergeUndefined("cannot merge a hook with itself")
 
-    i = h.a.index
-    ax, bx = e.a.index, e.b.index
-    kind = e.kind
-    top, bot = Row.TOP, Row.BOTTOM
-    if kind is EdgeKind.UPPER_HOOK and ax < i and i + 1 < bx:
-        e1 = Edge(NodeRef(top, ax), NodeRef(top, i))
-        e2 = Edge(NodeRef(top, i + 1), NodeRef(top, bx))
-    elif kind is EdgeKind.LOWER_HOOK and ax <= i and i + 1 <= bx:
-        e1 = Edge(NodeRef(top, i), NodeRef(bot, ax))
-        e2 = Edge(NodeRef(top, i + 1), NodeRef(bot, bx))
-    elif kind is EdgeKind.NEGATIVE_TRANSVERSAL and ax < i and i + 1 <= bx:
-        e1 = Edge(NodeRef(top, ax), NodeRef(top, i))
-        e2 = Edge(NodeRef(top, i + 1), NodeRef(bot, bx))
-    elif kind is EdgeKind.POSITIVE_TRANSVERSAL and ax > i + 1 and i >= bx:
-        e1 = Edge(NodeRef(top, i), NodeRef(bot, bx))
-        e2 = Edge(NodeRef(top, i + 1), NodeRef(top, ax))
-    else:
+    n, hi = x.n, h.a.index - 1
+    p, q = sorted((node_position(n, e.a), node_position(n, e.b)))
+    targets = merge_targets(n, hi, hi + 1, p, q)
+    if targets is None:
         raise MergeUndefined(f"merge of {h} with {e} is undefined")
-
-    pairs = [(d.a, d.b) for d in x.edges if d != h and d != e]
-    pairs += [(e1.a, e1.b), (e2.a, e2.b)]
-    return Tangle(x.n, _pairing_from_edges(x.n, pairs))
+    a1, b1, a2, b2 = targets
+    pairing = list(x.pairing)
+    pairing[a1], pairing[b1] = b1, a1
+    pairing[a2], pairing[b2] = b2, a2
+    return Tangle(n, tuple(pairing))
 
 
 def reflect(x: Tangle, axis: Axis) -> Tangle:
@@ -566,7 +546,7 @@ def parse_tangle(line: str) -> Tangle:
     m = _TANGLE_HEAD_RE.match(line)
     if m is None:
         raise ParseError(f"bad tangle line {line!r}")
-    n = int(m.group(1))
+    n = _parse_int(m.group(1))
     body = m.group(2)
     if _EDGE_RE.sub("", body).strip():
         raise ParseError(f"unexpected text in tangle line {line!r}")
@@ -575,10 +555,27 @@ def parse_tangle(line: str) -> Tangle:
 
 
 def format_word(w: Word) -> str:
-    return " ".join(str(p) for p in w.factors)
+    return " ".join([f"T{v}" if v > 0 else f"U{-v}" for v in w.factors])
+
+
+def parse_factors(text: str) -> tuple[int, ...]:
+    """Signed-int factors of whitespace-separated prime tokens ("T3 U1")."""
+    factors = []
+    for token in text.split():
+        # isdigit() also admits digits int() rejects ("²"), and int() refuses
+        # strings of more than sys.get_int_max_str_digits() digits.
+        try:
+            if len(token) < 2 or token[0] not in "TU" or not token[1:].isdigit():
+                raise ValueError
+            index = int(token[1:])
+        except ValueError:
+            raise ParseError(f"bad prime token {token!r}") from None
+        if index < 1:
+            raise IndexOutOfRange(f"prime index must be >= 1, got {index}")
+        factors.append(index if token[0] == "T" else -index)
+    return tuple(factors)
 
 
 def parse_word(text: str, n: int) -> Word:
     """Parse whitespace-separated prime tokens, topmost factor first."""
-    factors = tuple(Prime.parse(tok) for tok in text.split())
-    return Word(n, factors)
+    return Word(n, parse_factors(text))

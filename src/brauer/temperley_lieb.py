@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPlanar
-from .tangle import Edge, EdgeKind, Prime, Row, Tangle, Word, total_crossings
+from .tangle import Edge, EdgeKind, Row, Tangle, Word, total_crossings
 
 
 @dataclass(frozen=True)
@@ -197,12 +197,12 @@ def factorize_tl(x: Tangle) -> Word:
         for dst in targets:
             indegree[dst] += 1
     alive = set(ones)
-    factors: list[Prime] = []
+    factors: list[int] = []
     while alive:
         roots = sorted(r for r in alive if indegree[r] == 0)
         assert roots, "region dag has a cycle"
         for r in roots:
-            factors.append(Prime("U", r[0]))
+            factors.append(-r[0])
             alive.discard(r)
             for dst in arcs[r]:
                 if dst in alive:

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brauer
 from brauer.cli import main
 
 EX_B3 = "B3: (1,3) (2,1') (2',3')\n"
@@ -161,3 +168,70 @@ def test_usage_error_exit_code(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# Each case once ended in a traceback.  They run in a child process, the
+# memory cases under an address-space cap that is set in the child only.
+MEMORY_CAP = 2_000_000 * 1024
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,capped,status,expected",
+    [
+        pytest.param(
+            ["factorize", "/nonexistent"], "", False, 1, "error: FileNotFoundError:", id="no-file"
+        ),
+        pytest.param(
+            ["check-a1", "3", "--scale", "nan"], "", False, 2, "--scale: not a finite", id="nan"
+        ),
+        pytest.param(
+            ["check-a1", "3", "--scale", "inf"], "", False, 2, "--scale: not a finite", id="inf"
+        ),
+        pytest.param(
+            ["factorize"], "B" + "1" * 5000 + ":\n", False, 1, "error: ParseError:", id="digits"
+        ),
+        pytest.param(
+            ["factorize"], "B1000000000:\n", True, 1, "error: UncoveredNode:", id="header"
+        ),
+        pytest.param(
+            ["compose", "--n", "1000000000", "T1"], "", True, 1, "error: ResourceLimit:",
+            id="compose",
+        ),
+        pytest.param(
+            ["render", "--word", "T1", "--n", "1000000000"], "", True, 1,
+            "error: ResourceLimit:", id="render",
+        ),
+    ],
+)
+def test_boundary_errors_are_named(argv, stdin, capped, status, expected):
+    env = dict(os.environ, PYTHONPATH=str(Path(brauer.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauer.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_memory if capped else None,
+        timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (status, "")
+    assert expected in proc.stderr
+
+
+def test_benchmark_layer_hooks_exist():
+    # perfbench wraps these (module, attribute) pairs by name; a refactor
+    # that drops one would silently empty a benchmark layer.  The patches
+    # are only read here, never installed.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.PATCHES
+    for module_name, attr, _, _ in spans.PATCHES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

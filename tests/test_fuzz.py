@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from conftest import outcome
 from brauer import cli, factorize, length_p
 from brauer._kernels import pure
 from brauer.errors import BrauerError
-from brauer.tangle import Tangle, compose_word, parse_word
+from brauer.tangle import Tangle, compose_word, parse_tangle, parse_word
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -77,5 +78,30 @@ def test_word_text_only_raises_brauer_errors(text, n):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["compose", "--n", str(n), "--", text])
+    assert code in (0, 1)
+    assert (code == 1) == err.getvalue().startswith("error: ")
+
+
+nodes = st.sampled_from(["1", "2", "3", "1'", "2'", "3'", "0", "4'", "٣", "9" * 5000 + "'"])
+headers = st.sampled_from(
+    ["B0:", "B1:", "B2:", "B3:", "B 3 :", "B1000000000:", "B" + "1" * 5000 + ":", "B3", "3:"]
+)
+tangle_lines = st.text(max_size=24) | st.tuples(
+    headers, st.lists(st.tuples(nodes, nodes).map("({0[0]},{0[1]})".format), max_size=6)
+).map(lambda t: t[0] + " " + " ".join(t[1]))
+
+
+@FUZZ
+@given(tangle_lines, st.sampled_from(["factorize", "length", "tau"]))
+def test_tangle_text_only_raises_brauer_errors(text, command):
+    try:
+        parse_tangle(text)
+    except BrauerError:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = cli.main([command])
     assert code in (0, 1)
     assert (code == 1) == err.getvalue().startswith("error: ")

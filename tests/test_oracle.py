@@ -81,13 +81,6 @@ class TestBfs:
             assert max(table) == n * (n - 1) // 2
             assert table[max(table)] == 2
 
-    def test_jobs_byte_identical(self, db):
-        serial = io.StringIO()
-        dump_database(db[4], serial)
-        parallel = io.StringIO()
-        dump_database(bfs_cayley(4, jobs=2), parallel)
-        assert serial.getvalue() == parallel.getvalue()
-
     @pytest.mark.slow
     def test_stored_words_n6(self, db):
         for x, entry in db[6].items():

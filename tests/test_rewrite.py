@@ -15,7 +15,7 @@ from brauer.rewrite import (
     check_assumption1,
     reduce,
 )
-from brauer.tangle import Prime, Word, compose_word, format_word, parse_word
+from brauer.tangle import Word, compose_word, format_word, parse_word
 
 
 def rule(id: int):
@@ -62,7 +62,7 @@ class TestApplyRule:
             w = Word(
                 n,
                 tuple(
-                    Prime(rng.choice("TU"), rng.randrange(1, n))
+                    rng.choice((1, -1)) * rng.randrange(1, n)
                     for _ in range(rng.randrange(0, 9))
                 ),
             )
@@ -98,7 +98,7 @@ class TestReduce:
             w = Word(
                 n,
                 tuple(
-                    Prime(rng.choice("TU"), rng.randrange(1, n))
+                    rng.choice((1, -1)) * rng.randrange(1, n)
                     for _ in range(rng.randrange(0, 14))
                 ),
             )
@@ -117,7 +117,7 @@ class TestReduce:
 
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
     def test_complete_on_short_b4_words(self, length, db):
-        primes = [Prime(k, i) for k in "TU" for i in (1, 2, 3)]
+        primes = [s * i for s in (1, -1) for i in (1, 2, 3)]
         for combo in itertools.product(primes, repeat=length):
             w = Word(4, tuple(combo))
             result = reduce(w)
@@ -127,7 +127,7 @@ class TestReduce:
     @pytest.mark.slow
     @pytest.mark.parametrize("length", [5, 6])
     def test_complete_on_longer_b4_words(self, length, db):
-        primes = [Prime(k, i) for k in "TU" for i in (1, 2, 3)]
+        primes = [s * i for s in (1, -1) for i in (1, 2, 3)]
         for combo in itertools.product(primes, repeat=length):
             w = Word(4, tuple(combo))
             result = reduce(w)
@@ -168,7 +168,7 @@ class TestAssumption1:
             w = Word(
                 n,
                 tuple(
-                    Prime(rng.choice("TU"), rng.randrange(1, n))
+                    rng.choice((1, -1)) * rng.randrange(1, n)
                     for _ in range(rng.randrange(0, 9))
                 ),
             )

@@ -22,7 +22,6 @@ from brauer.errors import (
 from brauer.tangle import (
     Axis,
     EdgeKind,
-    Prime,
     Tangle,
     Word,
     components,
@@ -42,12 +41,10 @@ from brauer.tangle import (
     random_tangle,
     reflect,
     right_multiply,
-    signed_to_word,
     t_prime,
     tensor,
     total_crossings,
     u_prime,
-    word_to_signed,
 )
 
 EX_B3 = "B3: (1,3) (2,1') (2',3')"
@@ -55,9 +52,7 @@ EX_B4 = "B4: (1,3) (2,3') (4,1') (2',4')"
 
 
 def random_word(n: int, length: int, rng: random.Random) -> Word:
-    factors = tuple(
-        Prime(rng.choice("TU"), rng.randrange(1, n)) for _ in range(length)
-    )
+    factors = tuple(rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(length))
     return Word(n, factors)
 
 
@@ -107,7 +102,9 @@ class TestConstruction:
         assert format_tangle(t_prime(3, 1)) == "B3: (1,2') (2,1') (3,3')"
         assert format_tangle(u_prime(3, 2)) == "B3: (1,1') (2,3) (2',3')"
         with pytest.raises(IndexOutOfRange):
-            prime(2, Prime("T", 2))
+            prime(2, 2)
+        with pytest.raises(IndexOutOfRange):
+            u_prime(3, -1)
 
     def test_primes_by_edges(self):
         for n in range(2, 7):
@@ -230,11 +227,13 @@ class TestCompose:
                 assert compose_word(w) == reference_product(w)
                 assert compose_word(w) == compose_word(parse_word(f"T1 U{i}", n))
 
-    def test_signed_codec_roundtrip(self):
+    def test_word_text_is_signed_ints(self):
         w = parse_word("T1 U2 U3 T1 T2", 4)
-        assert word_to_signed(w) == (1, -2, -3, 1, 2)
-        assert signed_to_word(4, (1, -2, -3, 1, 2)) == w
-        assert word_to_signed(Word(3, ())) == ()
+        assert w.factors == (1, -2, -3, 1, 2)
+        assert w == Word(4, (1, -2, -3, 1, 2))
+        assert format_word(w) == "T1 U2 U3 T1 T2"
+        assert w.t_count() == 3
+        assert Word(3, ()).factors == ()
 
     def test_words_compose_to_valid_tangles(self):
         rng = random.Random(17)
@@ -395,7 +394,7 @@ class TestAxioms:
 
         def instantiate(tokens, n, i, j):
             bind = {"i": i, "j": j}
-            return Word(n, tuple(Prime(t[0], bind[t[1]]) for t in tokens))
+            return Word(n, tuple(bind[t[1]] if t[0] == "T" else -bind[t[1]] for t in tokens))
 
         checked = 0
         for n in range(2, 9):
@@ -430,6 +429,17 @@ class TestTextFormats:
         with pytest.raises(ParseError):
             parse_tangle("3: (1,3)")
 
+    @pytest.mark.parametrize("line", ["B" + "1" * 5000 + ":", "B2: (1,2) (1'," + "2" * 5000 + "')"])
+    def test_overlong_number_is_a_parse_error(self, line):
+        with pytest.raises(ParseError):
+            parse_tangle(line)
+
+    @pytest.mark.parametrize("line", ["B1000000000:", "B1000000000: (1,1') (2,3')"])
+    def test_too_few_edges_for_a_huge_header(self, line):
+        # Refused from the edges given, before 2n positions are allocated.
+        with pytest.raises(UncoveredNode):
+            parse_tangle(line)
+
     @pytest.mark.parametrize("token", ["T²", "U" + "1" * 5000, "X1", "T"])
     def test_bad_prime_token_is_a_parse_error(self, token):
         with pytest.raises(ParseError):
@@ -443,8 +453,11 @@ class TestTextFormats:
             assert parse_word(format_word(w), n) == w
 
     def test_word_index_range(self):
+        for text in ("T3", "U3", "T0", "U0"):
+            with pytest.raises(IndexOutOfRange):
+                parse_word(text, 3)
         with pytest.raises(IndexOutOfRange):
-            parse_word("T3", 3)
+            Word(3, (1, -3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_roundtrip_exhaustive(self, n, db):
