@@ -18,7 +18,9 @@ import hashlib
 import io
 import json
 import random
+from itertools import accumulate
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -81,14 +83,67 @@ def _planar(max_n: int) -> list[str]:
     return out
 
 
+def _non_crossing(lo: int, hi: int) -> Iterator[list[tuple[int, int]]]:
+    """Every non-crossing matching of positions lo..hi-1: lo is joined to
+    some q, and the positions inside and outside (lo, q) match apart."""
+    if lo == hi:
+        yield []
+        return
+    for q in range(lo + 1, hi, 2):
+        for inside in _non_crossing(lo + 1, q):
+            for outside in _non_crossing(q + 1, hi):
+                yield [(lo, q), *inside, *outside]
+
+
+def _planar_of(n: int) -> list[str]:
+    """Every crossing-free tangle of B_n (the boundary order is cyclic, so a
+    non-crossing matching of the 2n positions is a planar tangle)."""
+    out = []
+    for pairs in _non_crossing(0, 2 * n):
+        mate = [0] * (2 * n)
+        for p, q in pairs:
+            mate[p], mate[q] = q, p
+        out.append(_line(mate))
+    return out
+
+
+def _dyck(sizes: tuple[int, ...], per_size: int, seed: int) -> list[str]:
+    """Random planar tangles: a shuffled balanced bracket string, rotated to
+    start at its lowest prefix sum (a Dyck word), matched, then rotated by a
+    random offset around the boundary."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        for _ in range(per_size):
+            steps = [1] * n + [-1] * n
+            rng.shuffle(steps)
+            sums = list(accumulate(steps))
+            start = (sums.index(min(sums)) + 1) % (2 * n)
+            shift = rng.randrange(2 * n)
+            mate = [0] * (2 * n)
+            opened = []
+            for k in range(2 * n):
+                p = (start + k) % (2 * n)
+                if steps[p] > 0:
+                    opened.append(p)
+                else:
+                    q = opened.pop()
+                    a, b = (p + shift) % (2 * n), (q + shift) % (2 * n)
+                    mate[a], mate[b] = b, a
+            out.append(_line(mate))
+    return out
+
+
 RANDOM = _random((8, 16, 24, 32, 40, 48, 56, 64), 3, seed=20240)
 HOOKS = _hook_families((4, 8, 16, 32))
 HOOKS_64 = _hook_families((64,))
 PLANAR = _planar(6)
 RANDOM_128 = _random((96, 128), 3, seed=20241)
+PLANAR_7_8 = _planar_of(7) + _planar_of(8)
+DYCK = _dyck((16, 32, 64), 3, seed=20242)
 
 # family name -> (argv, input lines or None for no input file).  The tier-1
-# families take about 2.5 s on the pure backend; larger ones are slow tests.
+# families take about 3.5 s on the pure backend; larger ones are slow tests.
 FAMILIES = {
     "factorize-random": (["factorize"], RANDOM),
     "factorize-random-min-t": (["factorize", "--min-t"], RANDOM),
@@ -97,6 +152,8 @@ FAMILIES = {
     "factorize-hooks-min-t": (["factorize", "--min-t"], HOOKS),
     "factorize-hooks-verify": (["factorize", "--verify"], HOOKS + HOOKS_64),
     "factorize-tl-planar": (["factorize", "--tl"], PLANAR),
+    "factorize-tl-planar-7-8": (["factorize", "--tl"], PLANAR_7_8),
+    "factorize-tl-dyck": (["factorize", "--tl"], DYCK),
     "length-both-random": (["length", "--both"], RANDOM + HOOKS),
     "tau-random": (["tau"], RANDOM + HOOKS),
     "oracle-build-5": (["oracle", "build", "5"], None),
@@ -107,6 +164,8 @@ SLOW_FAMILIES = {
     "factorize-random-128": (["factorize"], RANDOM_128),
     "factorize-random-128-min-t": (["factorize", "--min-t"], RANDOM_128),
     "oracle-build-7": (["oracle", "build", "7", "--huge"], None),
+    "factorize-tl-planar-9": (["factorize", "--tl"], _planar_of(9)),
+    "factorize-tl-dyck-256": (["factorize", "--tl"], _dyck((128, 256), 3, seed=20243)),
 }
 
 
