@@ -40,10 +40,9 @@ from .tangle import (
     crossing_pairs,
     edge,
     edge_crossings,
-    edge_kind,
-    edge_size,
     format_tangle,
     format_word,
+    hook_merges,
     identity,
     make_tangle,
     merge,

@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="file with one tangle line")
     p.add_argument("--word", help="render a word instead of a tangle")
     p.add_argument("--n", type=int, help="columns (required with --word)")
-    p.add_argument("--format", choices=["svg"], default="svg")
     p.add_argument("-o", "--output", help="write the SVG to a file")
     p.set_defaults(fn=_cmd_render)
 

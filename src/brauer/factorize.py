@@ -20,19 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._kernels import factorize_core
-from .errors import MergeUndefined, NoViableStep, SizeMismatch
+from .errors import NoViableStep, SizeMismatch
 from .symmetric import bubble_sort_indices, to_permutation
-from .tangle import (
-    Edge,
-    NodeRef,
-    Row,
-    Tangle,
-    Word,
-    compose,
-    compose_word,
-    merge,
-    prime,
-)
+from .tangle import Tangle, Word, compose, compose_word, hook_merges, prime
 from .tau import length_p, tau
 
 
@@ -72,20 +62,15 @@ def factorize_naive(x: Tangle, length_fn: Callable[[Tangle], int] = length_p) ->
             (i for i in range(1, n) if x.pairing[i - 1] == i), None
         )
         if hook_index is not None:
-            h = Edge(NodeRef(Row.TOP, hook_index), NodeRef(Row.TOP, hook_index + 1))
-            for e in x.edges:
-                if e == h:
-                    continue
-                try:
-                    candidate = merge(x, h, e)
-                except MergeUndefined:
-                    continue
+            for candidate in hook_merges(x, hook_index):
                 if length_fn(candidate) == remaining - 1:
                     x = candidate
                     factors.append(-hook_index)
                     break
             else:
-                raise NoViableStep(f"no merge of {h} reduces the length of {x}")
+                raise NoViableStep(
+                    f"no merge of ({hook_index},{hook_index + 1}) reduces the length of {x}"
+                )
         else:
             for i in range(1, n):
                 candidate = compose(prime(n, i), x)

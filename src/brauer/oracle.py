@@ -22,15 +22,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, TextIO
 
-from .errors import MergeUndefined, ParseError, ResourceLimit
+from .errors import ParseError, ResourceLimit
 from .tangle import (
-    EdgeKind,
     Tangle,
     Word,
     format_tangle,
     format_word,
+    hook_merges,
     identity,
-    merge,
     parse_tangle,
     parse_word,
     right_multiply,
@@ -188,24 +187,13 @@ def max_merges(db: MinimalDatabase) -> tuple[int, int]:
     best = 0
     attaining: set[Pairing] = set()
     for x, entry in db.items():
-        hooks = [
-            e
-            for e in x.edges
-            if e.kind is EdgeKind.UPPER_HOOK and e.size == 1
-        ]
-        if not hooks:
+        hook = next((i for i in range(1, db.n) if x.pairing[i - 1] == i), None)
+        if hook is None:
             continue
-        h = min(hooks, key=lambda e: e.a.index)
-        count = 0
-        for e in x.edges:
-            if e == h:
-                continue
-            try:
-                merged = merge(x, h, e)
-            except MergeUndefined:
-                continue
-            if db.entries[merged.pairing].length == entry.length - 1:
-                count += 1
+        count = sum(
+            db.entries[merged.pairing].length == entry.length - 1
+            for merged in hook_merges(x, hook)
+        )
         if count > best:
             best = count
             attaining = {x.pairing}

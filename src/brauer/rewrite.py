@@ -19,7 +19,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import NoMatch
+from .errors import NoMatch, ResourceLimit
 from .oracle import MinimalDatabase, double_factorial_odd
 from .tangle import Word, identity, right_multiply
 
@@ -202,6 +202,12 @@ def reduce(word: Word, *, max_orbit: int = DEFAULT_MAX_ORBIT) -> ReduceResult:
         factors = found
 
 
+# The longest word check_assumption1 samples: each sample is one tuple of
+# factors, so the length bounds its memory (the default scale 2 gives
+# n(n-1) factors, 56 at n = 8).
+MAX_SAMPLE_LENGTH = 10_000
+
+
 @dataclass(frozen=True)
 class Assumption1Report:
     n: int
@@ -225,7 +231,9 @@ def check_assumption1(
     Words already minimal for their tangle are skipped; each tangle is
     tested once; patience drops on every repeat and the run stops at zero
     patience or full coverage.  Samples whose orbit search hit the cap are
-    counted separately instead of being called counterexamples.
+    counted separately instead of being called counterexamples.  A scale
+    that allows words longer than MAX_SAMPLE_LENGTH raises ResourceLimit
+    before any sampling.
     """
     n = db.n
     rng = random.Random(seed)
@@ -236,6 +244,10 @@ def check_assumption1(
     # tangle (T_i in particular, which no even-length word reaches at n=2)
     # can be generated non-minimally.
     longest = max(3, int(scale * n * (n - 1) / 2))
+    if longest > MAX_SAMPLE_LENGTH:
+        raise ResourceLimit(
+            f"scale {scale} samples words of up to {longest} factors; the cap is {MAX_SAMPLE_LENGTH}"
+        )
     primes = [i for i in range(1, n)] + [-i for i in range(1, n)]
     ident = identity(n).pairing
     tested: set[tuple[int, ...]] = set()

@@ -39,10 +39,10 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._kernels import crossing_counts
-from ._kernels.pure import merge_targets
+from ._kernels.pure import _ranked_reps, merge_targets
 from .errors import (
     DuplicateNode,
     EdgeNotInTangle,
@@ -149,14 +149,6 @@ class Edge:
 def edge(x: NodeRef | str | int, y: NodeRef | str | int) -> Edge:
     """Edge from two nodes given as NodeRef, bare int (top row) or token ("3'")."""
     return Edge(_as_node(x), _as_node(y))
-
-
-def edge_kind(e: Edge) -> EdgeKind:
-    return e.kind
-
-
-def edge_size(e: Edge) -> int:
-    return e.size
 
 
 def node_position(n: int, node: NodeRef) -> int:
@@ -401,26 +393,16 @@ def compose_word(w: Word) -> Tangle:
 
 
 def tensor(x: Tangle, y: Tangle) -> Tangle:
-    """Place y to the right of x; y's indices are shifted by x.n."""
-    n = x.n + y.n
-    pairs: list[tuple[NodeRef, NodeRef]] = []
-    for e in x.edges:
-        pairs.append((e.a, e.b))
-    for e in y.edges:
-        pairs.append(
-            (
-                NodeRef(e.a.row, e.a.index + x.n),
-                NodeRef(e.b.row, e.b.index + x.n),
-            )
-        )
-    return Tangle(n, _pairing_from_edges(n, pairs))
-
-
-def _spans_cut(e: Edge, k: int) -> bool:
-    # An edge leaves the column block 1..k iff its smaller column is <= k
-    # and its larger column is > k; a zero transversal never does.
-    lo, hi = sorted((e.a.index, e.b.index))
-    return lo <= k < hi
+    """Place y to the right of x; y's indices are shifted by x.n.  In
+    positions, x's top row stays, x's bottom row moves by 2 y.n and all of
+    y moves by x.n."""
+    out = [0] * (2 * (x.n + y.n))
+    shift = [0 if p < x.n else 2 * y.n for p in range(2 * x.n)]
+    for p, q in enumerate(x.pairing):
+        out[p + shift[p]] = q + shift[q]
+    for p, q in enumerate(y.pairing):
+        out[p + x.n] = q + x.n
+    return Tangle(x.n + y.n, tuple(out))
 
 
 def components(x: Tangle) -> list[tuple[Tangle, int]]:
@@ -428,21 +410,22 @@ def components(x: Tangle) -> list[tuple[Tangle, int]]:
 
     Tensoring the parts back in offset order reproduces x.
     """
+    n, mate = x.n, x.pairing
     out: list[tuple[Tangle, int]] = []
-    start = 0  # offset of the current block
-    for k in range(1, x.n + 1):
-        if k < x.n and any(_spans_cut(e, k) for e in x.edges):
+    start = spanning = 0  # offset of the current block; edges across the cut after column k
+    for k in range(1, n + 1):
+        for p in (k - 1, 2 * n - k):  # top node k, bottom node k'
+            far = mate[p] + 1 if mate[p] < n else 2 * n - mate[p]
+            spanning += (far > k) - (far < k)
+        if spanning:
             continue
-        width = k - start
-        pairs = [
-            (
-                NodeRef(e.a.row, e.a.index - start),
-                NodeRef(e.b.row, e.b.index - start),
-            )
-            for e in x.edges
-            if start < e.a.index <= k
-        ]
-        out.append((Tangle(width, _pairing_from_edges(width, pairs)), start))
+        # Top positions move down by start, bottom ones by 2(n - k) + start.
+        width, low = k - start, 2 * (n - k) + start
+        part = [0] * (2 * width)
+        for p in (*range(start, k), *range(2 * n - k, 2 * n - start)):
+            q = mate[p]
+            part[p - (start if p < n else low)] = q - (start if q < n else low)
+        out.append((Tangle(width, tuple(part)), start))
         start = k
     return out
 
@@ -488,6 +471,14 @@ def total_crossings(x: Tangle) -> int:
 # Merge and reflections
 
 
+def _merged(x: Tangle, targets: tuple[int, int, int, int]) -> Tangle:
+    a1, b1, a2, b2 = targets
+    pairing = list(x.pairing)
+    pairing[a1], pairing[b1] = b1, a1
+    pairing[a2], pairing[b2] = b2, a2
+    return Tangle(x.n, tuple(pairing))
+
+
 def merge(x: Tangle, h: Edge, e: Edge) -> Tangle:
     """Merge the size-one upper hook h = (i, i+1) with edge e.
 
@@ -509,22 +500,36 @@ def merge(x: Tangle, h: Edge, e: Edge) -> Tangle:
     targets = merge_targets(n, hi, hi + 1, p, q)
     if targets is None:
         raise MergeUndefined(f"merge of {h} with {e} is undefined")
-    a1, b1, a2, b2 = targets
-    pairing = list(x.pairing)
-    pairing[a1], pairing[b1] = b1, a1
-    pairing[a2], pairing[b2] = b2, a2
-    return Tangle(n, tuple(pairing))
+    return _merged(x, targets)
+
+
+def hook_merges(x: Tangle, i: int) -> Iterator[Tangle]:
+    """merge(x, (i, i+1), e) for each edge e of x, in canonical order, for
+    which it is defined (never for the hook itself); (i, i+1) must be an
+    upper hook of x."""
+    n, hi = x.n, i - 1
+    for p in _ranked_reps(n, x.pairing):
+        targets = merge_targets(n, hi, i, p, x.pairing[p])
+        if targets is not None:
+            yield _merged(x, targets)
 
 
 def reflect(x: Tangle, axis: Axis) -> Tangle:
-    """Mirror a tangle; both reflections are involutions and preserve crossings."""
-    def flip(node: NodeRef) -> NodeRef:
-        if axis is Axis.HORIZONTAL:
-            return NodeRef(Row.BOTTOM if node.row is Row.TOP else Row.TOP, node.index)
-        return NodeRef(node.row, x.n + 1 - node.index)
+    """Mirror a tangle; both reflections are involutions and preserve crossings.
 
-    pairs = [(flip(e.a), flip(e.b)) for e in x.edges]
-    return Tangle(x.n, _pairing_from_edges(x.n, pairs))
+    In positions the horizontal flip (swap the rows) is p -> 2n-1-p; the
+    vertical mirror is p -> n-1-p on the top row and p -> 3n-1-p on the
+    bottom row.
+    """
+    n = x.n
+    if axis is Axis.HORIZONTAL:
+        flip = [2 * n - 1 - p for p in range(2 * n)]
+    else:
+        flip = [n - 1 - p if p < n else 3 * n - 1 - p for p in range(2 * n)]
+    out = [0] * (2 * n)
+    for p, q in enumerate(x.pairing):
+        out[flip[p]] = flip[q]
+    return Tangle(n, tuple(out))
 
 
 # ---------------------------------------------------------------------------

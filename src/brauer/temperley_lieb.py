@@ -1,23 +1,22 @@
 """Factorization of crossing-free tangles through the column-region graph.
 
-A planar tangle cut by vertical lines at every column falls apart into
-N-1 column strips.  The edges passing through a strip never cross, so they
-stack top to bottom and slice the strip into regions; a region's depth is
-the number of edges above it.  Everything here is done without geometry:
+Cut at every column, a planar tangle falls apart into N-1 strips; strip k
+lies between columns k and k+1.  The edges through a strip never cross, so
+they stack top to bottom and slice it into regions; a region's depth is the
+number of edges above it.  Everything is read off the pairing array:
 
-- an edge spans the strip between columns k and k+1 iff its smaller column
-  is <= k and its larger one is > k;
-- inside a strip, spanning edges anchored on the top row (ordered right to
-  left) lie above those anchored on the bottom row (ordered left to right),
-  which is the boundary order of their strip-side endpoints around the
-  enclosing disk;
-- a region touches the line between two strips along the gap between
-  consecutive through-edges; an edge that terminates on the line pinches
-  the region on its far side down to the corner node.
+- one left-to-right sweep gives every stack: at column c the edge ending at
+  top node c leaves the top of the stack and the edge ending at bottom node
+  c' leaves its bottom; an edge starting at column c joins at the same end;
+- the t edges through both strips beside the line at column c cut it into
+  gaps 0..t, top to bottom.  Top node c lies on an edge of exactly one of
+  the two strips, and so does bottom node c', unless (c, c') is an edge and
+  no region reaches across.  Otherwise the region at depth d of a strip
+  meets the line in exactly one gap, g = d - [the strip holds the edge at
+  top node c], or nowhere when g falls outside 0..t.
 
-Two regions in adjacent strips are horizontally adjacent iff their gap
-intervals on the shared line overlap (a straight segment between them then
-crosses no edge).  The factorization word is read off the dag on odd-depth
+Regions of adjacent strips are horizontally adjacent iff they meet the
+shared line in the same gap.  The word is read off the dag on odd-depth
 regions, where an arc points at every region horizontally adjacent to the
 region directly below its source: peel the roots left to right, one U per
 root, until nothing is left.
@@ -25,10 +24,14 @@ root, until nothing is left.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NotPlanar
-from .tangle import Edge, EdgeKind, Row, Tangle, Word, total_crossings
+from .tangle import Edge, Tangle, Word, position_node, total_crossings
+
+Vertex = tuple[int, int]  # (strip, depth)
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,10 @@ class RegionDag:
     """The odd-depth regions as (column, depth) vertices plus the arcs the
     factorization is read from."""
 
-    vertices: tuple[tuple[int, int], ...]
-    arcs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    vertices: tuple[Vertex, ...]
+    arcs: tuple[tuple[Vertex, Vertex], ...]
 
-    def roots(self) -> tuple[tuple[int, int], ...]:
+    def roots(self) -> tuple[Vertex, ...]:
         targets = {dst for _, dst in self.arcs}
         return tuple(v for v in self.vertices if v not in targets)
 
@@ -56,155 +59,90 @@ def is_planar(x: Tangle) -> bool:
     return total_crossings(x) == 0
 
 
-def _span(e: Edge) -> tuple[int, int]:
-    lo, hi = sorted((e.a.index, e.b.index))
-    return lo, hi
+def _far_columns(x: Tangle) -> tuple[list[int], list[int]]:
+    """Far-end columns of the edges at top node c and at bottom node c', for
+    c in 1..n (index 0 unused); NotPlanar unless x is planar."""
+    if not is_planar(x):
+        raise NotPlanar(f"{x} has crossings")
+    n = x.n
+    col = [q + 1 if q < n else 2 * n - q for q in x.pairing]
+    return [0, *col[:n]], [0, *(col[2 * n - c] for c in range(1, n + 1))]
 
 
-def _strip_edges(x: Tangle, k: int) -> list[Edge]:
-    """Edges through the strip between columns k and k+1, top to bottom."""
-    spanning = [e for e in x.edges if _span(e)[0] <= k < _span(e)[1]]
-
-    def order(e: Edge) -> tuple[int, int]:
-        # The strip-side endpoint is the one with the smaller column
-        # (spanning edges have distinct columns, so this is unambiguous).
-        lo_node = e.a if e.a.index < e.b.index else e.b
-        if lo_node.row is Row.TOP:
-            return (0, -lo_node.index)
-        return (1, lo_node.index)
-
-    spanning.sort(key=order)
-    return spanning
-
-
-def _line_column(k: int, neighbour: int) -> int:
-    return k + 1 if neighbour > k else k
-
-
-def _extent(
-    strips: list[list[Edge]], k: int, depth: int, line_col: int
-) -> tuple[int, int] | None:
-    """Gap interval of a region of strip k along the line at line_col, or
-    None when the region pinches out at a corner node."""
-    spanning = strips[k - 1]
-    m = len(spanning)
-    # Through-edges span the strips on both sides of the line.
-    through = [
-        e
-        for e in spanning
-        if _span(e)[0] <= line_col - 1 and _span(e)[1] >= line_col + 1
-    ]
-    q_index = {e: i + 1 for i, e in enumerate(through)}
-    t = len(through)
-
-    def corner_row(e: Edge) -> Row:
-        node = e.a if e.a.index == line_col else e.b
-        assert node.index == line_col
-        return node.row
-
-    upper = spanning[depth - 1] if depth >= 1 else None
-    lower = spanning[depth] if depth < m else None
-
-    if upper is None:
-        start = 0
-    elif upper in q_index:
-        start = q_index[upper]
-    elif corner_row(upper) is Row.TOP:
-        start = 0
-    else:
-        return None  # region below a bottom-corner edge
-    if lower is None:
-        end = t
-    elif lower in q_index:
-        end = q_index[lower] - 1
-    elif corner_row(lower) is Row.BOTTOM:
-        end = t
-    else:
-        return None  # region above a top-corner edge
-    assert start <= end
-    return start, end
+def _strips(x: Tangle, top: list[int], bottom: list[int]) -> Iterator[deque[int]]:
+    """The stack of strips 1..n-1 in turn, top to bottom, as the positions
+    of the left ends of its edges (one deque, updated in place)."""
+    stack: deque[int] = deque()
+    for c in range(1, x.n):
+        if top[c] < c:
+            stack.popleft()
+        if bottom[c] < c:
+            stack.pop()
+        if top[c] > c:
+            stack.appendleft(c - 1)
+        if bottom[c] > c:
+            stack.append(2 * x.n - c)
+        yield stack
 
 
 def regions(x: Tangle) -> list[Region]:
     """All column regions of a planar tangle, ordered by (column, depth)."""
-    if not is_planar(x):
-        raise NotPlanar(f"{x} has crossings")
+    n = x.n
     out: list[Region] = []
-    for k in range(1, x.n):
-        spanning = _strip_edges(x, k)
-        m = len(spanning)
-        for depth in range(m + 1):
-            upper = spanning[depth - 1] if depth >= 1 else None
-            lower = spanning[depth] if depth < m else None
-            out.append(Region(k, depth, (upper, lower)))
+    for k, stack in enumerate(_strips(x, *_far_columns(x)), start=1):
+        edges = [Edge(position_node(n, p), position_node(n, x.pairing[p])) for p in stack]
+        bounds = [None, *edges, None]
+        out.extend(Region(k, d, (bounds[d], bounds[d + 1])) for d in range(len(edges) + 1))
     return out
 
 
-def _one_region_dag(
-    x: Tangle,
-) -> tuple[list[tuple[int, int]], dict[tuple[int, int], set[tuple[int, int]]]]:
-    strips = [_strip_edges(x, k) for k in range(1, x.n)]
-    ones = [
-        (k, d)
-        for k in range(1, x.n)
-        for d in range(1, len(strips[k - 1]) + 1, 2)
-    ]
-    zero_cols = {e.a.index for e in x.edges if e.kind is EdgeKind.ZERO_TRANSVERSAL}
-
-    arcs: dict[tuple[int, int], set[tuple[int, int]]] = {r: set() for r in ones}
-    for k, d in ones:
-        below = d + 1
-        for k2 in (k - 1, k + 1):
-            if not 1 <= k2 <= x.n - 1:
-                continue
-            line_col = _line_column(k, k2)
-            if line_col in zero_cols:
-                continue
-            ext1 = _extent(strips, k, below, line_col)
-            if ext1 is None:
-                continue
-            for k2d in range(1, len(strips[k2 - 1]) + 1, 2):
-                ext2 = _extent(strips, k2, k2d, line_col)
-                if ext2 is None:
+def _dag(x: Tangle) -> dict[Vertex, list[Vertex]]:
+    """The arcs out of each odd-depth region, left neighbour first, with the
+    regions in (strip, depth) order."""
+    n = x.n
+    top, bottom = _far_columns(x)
+    size = [0, *map(len, _strips(x, top, bottom))]
+    arcs: dict[Vertex, list[Vertex]] = {}
+    for k in range(1, n):
+        for d in range(1, size[k] + 1, 2):
+            out = arcs[(k, d)] = []
+            for c, k2 in ((k, k - 1), (k + 1, k + 1)):  # line column, neighbour strip
+                if not 1 <= k2 < n or top[c] == c:
                     continue
-                if max(ext1[0], ext2[0]) <= min(ext1[1], ext2[1]):
-                    arcs[(k, d)].add((k2, k2d))
-    return ones, arcs
+                holder = c - 1 if top[c] < c else c  # strip holding the edge at top node c
+                gaps = size[c - 1] - (top[c] < c) - (bottom[c] < c)
+                g = d + 1 - (k == holder)  # the gap of the region below (k, d)
+                d2 = g + (k2 == holder)
+                if 0 <= g <= gaps and d2 % 2:
+                    out.append((k2, d2))
+    return arcs
 
 
 def region_dag(x: Tangle) -> RegionDag:
     """The dag on odd-depth regions of a planar tangle."""
-    if not is_planar(x):
-        raise NotPlanar(f"{x} has crossings")
-    ones, arcs = _one_region_dag(x)
-    flat = tuple(
-        (src, dst) for src in ones for dst in sorted(arcs[src])
-    )
-    return RegionDag(tuple(ones), flat)
+    arcs = _dag(x)
+    return RegionDag(tuple(arcs), tuple((src, dst) for src, out in arcs.items() for dst in out))
 
 
 def factorize_tl(x: Tangle) -> Word:
-    """Minimal U-prime word for a planar tangle, via the region dag.
-
-    Roots are emitted left to right, then deleted, until the dag is empty;
-    the word length equals the number of odd-depth regions.
-    """
-    if not is_planar(x):
-        raise NotPlanar(f"{x} has crossings")
-    ones, arcs = _one_region_dag(x)
-    indegree = {r: 0 for r in ones}
-    for src, targets in arcs.items():
+    """Minimal U-prime word for a planar tangle, via the region dag: each
+    round emits every current root left to right and deletes it, and the
+    roots it frees make up the next round.  One U per odd-depth region."""
+    arcs = _dag(x)
+    indegree = dict.fromkeys(arcs, 0)
+    for targets in arcs.values():
         for dst in targets:
             indegree[dst] += 1
-    alive = set(ones)
     factors: list[int] = []
-    while alive:
-        roots = sorted(r for r in alive if indegree[r] == 0)
-        assert roots, "region dag has a cycle"
-        for r in roots:
+    frontier = [r for r in arcs if not indegree[r]]
+    while frontier:
+        freed = []
+        for r in frontier:
             factors.append(-r[0])
-            alive.discard(r)
             for dst in arcs[r]:
-                if dst in alive:
-                    indegree[dst] -= 1
+                indegree[dst] -= 1
+                if not indegree[dst]:
+                    freed.append(dst)
+        frontier = sorted(freed)
+    assert len(factors) == len(arcs), "region dag has a cycle"
     return Word(x.n, tuple(factors))

@@ -186,6 +186,10 @@ def _cap_memory() -> None:
             ["factorize", "/nonexistent"], "", False, 1, "error: FileNotFoundError:", id="no-file"
         ),
         pytest.param(
+            ["check-a1", "3", "--scale", "1e20"], "", True, 1, "error: ResourceLimit: scale",
+            id="scale",
+        ),
+        pytest.param(
             ["check-a1", "3", "--scale", "nan"], "", False, 2, "--scale: not a finite", id="nan"
         ),
         pytest.param(

@@ -7,14 +7,17 @@ import random
 import pytest
 
 from brauer.errors import SizeMismatch
-from brauer.factorize import factorize, factorize_naive, verify
+from brauer.factorize import VerifyResult, factorize, factorize_naive, verify
 from brauer.tangle import (
+    Axis,
+    Word,
     compose_word,
     format_word,
     identity,
     parse_tangle,
     parse_word,
     random_tangle,
+    reflect,
     total_crossings,
 )
 from brauer.tau import length_p, length_tau
@@ -123,6 +126,23 @@ class TestVerify:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             verify(identity(3), parse_word("T1", 4))
+
+
+class TestReflections:
+    """The horizontal flip reverses products and fixes every prime; the
+    vertical mirror maps T_i and U_i to T_(n-i) and U_(n-i).  So a word for
+    a reflected tangle, mapped back, must be a minimal word for x."""
+
+    def test_reflected_words_verify(self):
+        rng = random.Random(1736)
+        for n in [rng.randrange(2, 65) for _ in range(20)]:
+            x = random_tangle(n, rng)
+            flipped, mirrored = reflect(x, Axis.HORIZONTAL), reflect(x, Axis.VERTICAL)
+            assert length_p(flipped) == length_p(mirrored) == length_p(x)
+            reversed_word = Word(n, factorize(flipped).factors[::-1])
+            assert verify(x, reversed_word) == VerifyResult(True, True)
+            mirror = tuple(n - v if v > 0 else -n - v for v in factorize(mirrored).factors)
+            assert verify(x, Word(n, mirror)) == VerifyResult(True, True)
 
 
 class TestBeyondOracleWidths:

@@ -163,13 +163,6 @@ class TestEdges:
         assert str(edge("1'", 4)) == "(4,1')"
         assert str(edge(3, 1)) == "(1,3)"
 
-    def test_named_operations(self):
-        from brauer import edge_kind, edge_size
-
-        e = edge(4, "1'")
-        assert edge_kind(e) is EdgeKind.POSITIVE_TRANSVERSAL
-        assert edge_size(e) == 3
-
 
 class TestCompose:
     def test_two_factor_product(self):
