@@ -110,10 +110,10 @@ def _dag(x: Tangle) -> dict[Vertex, list[Vertex]]:
                 if not 1 <= k2 < n or top[c] == c:
                     continue
                 holder = c - 1 if top[c] < c else c  # strip holding the edge at top node c
-                gaps = size[c - 1] - (top[c] < c) - (bottom[c] < c)
+                t = size[c - 1] - (top[c] < c) - (bottom[c] < c)  # gaps 0..t
                 g = d + 1 - (k == holder)  # the gap of the region below (k, d)
                 d2 = g + (k2 == holder)
-                if 0 <= g <= gaps and d2 % 2:
+                if 0 <= g <= t and d2 % 2:
                     out.append((k2, d2))
     return arcs
 

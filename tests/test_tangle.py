@@ -31,6 +31,7 @@ from brauer.tangle import (
     edge,
     edge_crossings,
     format_tangle,
+    hook_merges,
     format_word,
     identity,
     make_tangle,
@@ -339,7 +340,8 @@ class TestMerge:
             merge(x, edge(1, 2), edge(1, "1'"))
 
     def test_inversion_exhaustive_b4(self):
-        # Whenever defined, stacking U_i back on the merge reproduces x.
+        # Whenever defined, stacking U_i back on the merge reproduces x;
+        # hook_merges yields the defined merges in canonical edge order.
         from conftest import all_tangles
 
         checked = 0
@@ -347,6 +349,7 @@ class TestMerge:
             for h in x.edges:
                 if h.kind is not EdgeKind.UPPER_HOOK or h.size != 1:
                     continue
+                merged = []
                 for e in x.edges:
                     if e == h:
                         continue
@@ -355,7 +358,9 @@ class TestMerge:
                     except MergeUndefined:
                         continue
                     assert compose(u_prime(4, h.a.index), result) == x
+                    merged.append(result)
                     checked += 1
+                assert list(hook_merges(x, h.a.index)) == merged
         assert checked == 57
 
 
