@@ -13,8 +13,12 @@ errors exit with status 2.
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import resource
 import sys
+import time
+from functools import partial
 from typing import Iterable, TextIO
 
 from . import oracle as oc
@@ -117,14 +121,18 @@ def _cmd_reduce(args: argparse.Namespace, out: TextIO) -> None:
     out.write(format_word(result.word) + "\n")
 
 
+def _print_progress(start: float, level: int, size: int, total: int) -> None:
+    """One JSON line on stderr per completed level of an oracle build."""
+    elapsed_s = round(time.perf_counter() - start, 3)
+    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    line = dict(level=level, size=size, total=total, elapsed_s=elapsed_s, peak_rss_mb=peak_rss_mb)
+    print(json.dumps(line), file=sys.stderr)
+
+
 def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> None:
     if args.oracle_cmd == "build":
         _oracle_guard(args.n, args.huge)
-        progress = None
-        if args.huge:
-            progress = lambda level, total: print(
-                f"level done: +{level} tangles, {total} total", file=sys.stderr
-            )
+        progress = partial(_print_progress, time.perf_counter()) if args.huge else None
         db = oc.bfs_cayley(args.n, max_entries=args.max_nodes, progress=progress)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -132,7 +140,7 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> None:
         else:
             oc.dump_database(db, out)
         return
-    _oracle_guard(args.n, getattr(args, "huge", False))
+    _oracle_guard(args.n, args.huge)
     db = oc.cached_database(args.n)
     if args.oracle_cmd == "table":
         for k, count in oc.length_table(db).items():
@@ -141,23 +149,20 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> None:
         best, attaining = oc.max_merges(db)
         out.write(f"{args.n},{best},{attaining}\n")
     elif args.oracle_cmd == "check-a2":
-        _run_check_a2(args.n, out)
-
-
-def _run_check_a2(n: int, out: TextIO) -> None:
-    report = oc.check_assumption2(oc.cached_database(n))
-    for x in report.counterexamples:
-        print(f"counterexample: {format_tangle(x)}", file=sys.stderr)
-    out.write(f"{n},{report.tested},{len(report.counterexamples)}\n")
+        _cmd_check_a2(args, out)
 
 
 def _cmd_check_a2(args: argparse.Namespace, out: TextIO) -> None:
     _oracle_guard(args.n, args.huge)
-    _run_check_a2(args.n, out)
+    report = oc.check_assumption2(oc.cached_database(args.n))
+    for x in report.counterexamples:
+        print(f"counterexample: {format_tangle(x)}", file=sys.stderr)
+    out.write(f"{args.n},{report.tested},{len(report.counterexamples)}\n")
 
 
 def _cmd_check_a1(args: argparse.Namespace, out: TextIO) -> None:
     _oracle_guard(args.n, args.huge)
+    rw.longest_sample(args.n, args.scale)  # refuse the scale before building the store
     print(f"seed={args.seed}", file=sys.stderr)
     report = rw.check_assumption1(
         oc.cached_database(args.n),

@@ -9,14 +9,19 @@ recorded for a tangle therefore also has the fewest T-primes among its
 minimal words.  The expansion commits in a fixed order, so the database
 (and its text dump) is reproducible bit for bit.
 
-The database holds, for every tangle, the minimal length, one minimal word
-with minimal T-count, and that T-count.  Enumeration reports (the length
+The store maps the pairing, one byte per position (so 2n <= 256), to one
+minimal word with minimal T-count, one byte per factor (T_i is i, U_i is
+i | 0x80).  The minimal length is the word's length and the T-count is the
+number of bytes below 0x80, so neither is stored: two small bytes objects
+per tangle keep B_8 (2,027,025 tangles) near 330 MB.  DbEntry bundles the
+three for readers and is built on demand.  Enumeration reports (the length
 histogram, the merge-fanout maximum, the crossings-vs-T-count check) all
-read from it.
+read from the store.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,15 +41,12 @@ from .tangle import (
     total_crossings,
 )
 
-Pairing = tuple[int, ...]
+MAX_N = 128  # the store keys a pairing by one byte per position
 
 
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! = |B_n|."""
-    out = 1
-    for k in range(1, 2 * n, 2):
-        out *= k
-    return out
+    return math.prod(range(1, 2 * n, 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +56,8 @@ class DbEntry:
     t_count: int
 
 
-# A byte per factor keeps the N=8 store (2M words) small; ints would not.
 _FROM_BYTE = tuple(b if b < 0x80 else 0x80 - b for b in range(256))
+_U_BYTES = bytes(range(0x80, 0x100))
 
 
 def _to_byte(v: int) -> int:
@@ -66,97 +68,95 @@ def _decode_word(n: int, enc: bytes) -> Word:
     return Word(n, tuple(map(_FROM_BYTE.__getitem__, enc)))
 
 
+def _entry(enc: bytes) -> DbEntry:
+    return DbEntry(len(enc), enc, len(enc.translate(None, _U_BYTES)))
+
+
 @dataclass
 class MinimalDatabase:
-    """Map from every tangle of B_n to its minimal factorization data."""
+    """Map from every tangle of B_n (its pairing bytes) to one minimal word
+    with minimal T-count (its factor bytes)."""
 
     n: int
-    entries: dict[Pairing, DbEntry]
+    entries: dict[bytes, bytes]
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __contains__(self, x: Tangle) -> bool:
-        return x.pairing in self.entries
+        return x.n == self.n and bytes(x.pairing) in self.entries
 
     def entry(self, x: Tangle) -> DbEntry:
-        return self.entries[x.pairing]
+        # A tangle of another width raises KeyError, as a missing one does.
+        return _entry(self.entries[bytes(x.pairing) if x.n == self.n else x.pairing])
 
     def length(self, x: Tangle) -> int:
-        return self.entries[x.pairing].length
+        return self.entry(x).length
 
     def word(self, x: Tangle) -> Word:
-        return _decode_word(self.n, self.entries[x.pairing].word)
+        return _decode_word(self.n, self.entry(x).word)
 
     def t_count(self, x: Tangle) -> int:
-        return self.entries[x.pairing].t_count
+        return self.entry(x).t_count
 
     def tangles(self) -> Iterator[Tangle]:
-        for pairing in self.entries:
-            yield Tangle(self.n, pairing)
+        for key in self.entries:
+            yield Tangle(self.n, tuple(key))
 
     def items(self) -> Iterator[tuple[Tangle, DbEntry]]:
-        for pairing, entry in self.entries.items():
-            yield Tangle(self.n, pairing), entry
+        for key, enc in self.entries.items():
+            yield Tangle(self.n, tuple(key)), _entry(enc)
 
 
 # ---------------------------------------------------------------------------
 # Expansion
 
 
-def _children(parent: Pairing, n: int, sign: int) -> list[Pairing | None]:
-    """Pairings of parent . T_i (sign 1) or parent . U_i (sign -1) for
-    i = 1..n-1, with None where the product equals the parent."""
-    row: list[Pairing | None] = []
-    for i in range(1, n):
-        child = list(parent)
-        row.append(tuple(child) if right_multiply(child, n, sign * i) else None)
-    return row
-
-
 def bfs_cayley(
     n: int,
     *,
     max_entries: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
+    progress: Callable[[int, int, int], None] | None = None,
 ) -> MinimalDatabase:
     """Explore B_n from the identity, U-prime edges first.
 
     max_entries caps the store (ResourceLimit beyond it); progress, if
-    given, is called with (level_size, total_so_far) after each level.
+    given, is called with (length, level_size, total_so_far) as each level
+    is complete, from the identity's level 0 to the longest.
     """
     if n < 1:
         raise ResourceLimit(f"n must be >= 1, got {n}")
-    ident = identity(n).pairing
-    entries: dict[Pairing, DbEntry] = {ident: DbEntry(0, b"", 0)}
-    level: list[Pairing] = [ident]
-    while level:
-        groups: dict[int, list[Pairing]] = {}
-        for pairing in level:
-            groups.setdefault(entries[pairing].t_count, []).append(pairing)
-        next_level: list[Pairing] = []
-        t_values = sorted(set(groups) | {t + 1 for t in groups})
-        for t in t_values:
-            for sign, parents in ((-1, groups.get(t, [])), (1, groups.get(t - 1, []))):
+    if n > MAX_N:
+        raise ResourceLimit(f"B_{n} is too wide for the store (a byte per position: n <= {MAX_N})")
+    ident = bytes(identity(n).pairing)
+    entries: dict[bytes, bytes] = {ident: b""}
+    # The level being expanded, grouped by T-count in commit order.
+    groups: dict[int, list[bytes]] = {0: [ident]}
+    length = 0
+    while groups:
+        if progress is not None:
+            progress(length, sum(map(len, groups.values())), len(entries))
+        length += 1
+        next_groups: dict[int, list[bytes]] = {}
+        for t in sorted(set(groups) | {t + 1 for t in groups}):
+            # Children of U-edges from class t and of T-edges from class
+            # t - 1 both have T-count t.
+            group = next_groups[t] = []
+            for sign, parents in ((-1, groups.get(t, ())), (1, groups.get(t - 1, ()))):
+                steps = [(sign * i, bytes([_to_byte(sign * i)])) for i in range(1, n)]
                 for parent in parents:
-                    parent_entry = entries[parent]
-                    for i, child in enumerate(_children(parent, n, sign), start=1):
-                        if child is None or child in entries:
+                    word = entries[parent]
+                    for v, step in steps:
+                        child = list(parent)
+                        if not right_multiply(child, n, v) or (key := bytes(child)) in entries:
                             continue
-                        entries[child] = DbEntry(
-                            parent_entry.length + 1,
-                            parent_entry.word + bytes([_to_byte(sign * i)]),
-                            t,
-                        )
-                        next_level.append(child)
+                        entries[key] = word + step
+                        group.append(key)
                         if max_entries is not None and len(entries) > max_entries:
                             raise ResourceLimit(
-                                f"store exceeded {max_entries} tangles at length "
-                                f"{parent_entry.length + 1}"
+                                f"store exceeded {max_entries} tangles at length {length}"
                             )
-        if progress is not None:
-            progress(len(next_level), len(entries))
-        level = next_level
+        groups = {t: group for t, group in next_groups.items() if group}
     return MinimalDatabase(n, entries)
 
 
@@ -172,7 +172,7 @@ def cached_database(n: int) -> MinimalDatabase:
 
 def length_table(db: MinimalDatabase) -> dict[int, int]:
     """Histogram: how many tangles have each minimal length."""
-    return dict(sorted(Counter(e.length for e in db.entries.values()).items()))
+    return dict(sorted(Counter(map(len, db.entries.values())).items()))
 
 
 def max_merges(db: MinimalDatabase) -> tuple[int, int]:
@@ -184,22 +184,20 @@ def max_merges(db: MinimalDatabase) -> tuple[int, int]:
     second, more mergeable hook to the right of a poorer first one, and
     counting the best hook would report 48 attaining tangles instead of 46.
     """
-    best = 0
-    attaining: set[Pairing] = set()
-    for x, entry in db.items():
-        hook = next((i for i in range(1, db.n) if x.pairing[i - 1] == i), None)
+    best = attaining = 0
+    for key, enc in db.entries.items():
+        hook = next((i for i in range(1, db.n) if key[i - 1] == i), None)
         if hook is None:
             continue
         count = sum(
-            db.entries[merged.pairing].length == entry.length - 1
-            for merged in hook_merges(x, hook)
+            len(db.entries[bytes(merged.pairing)]) == len(enc) - 1
+            for merged in hook_merges(Tangle(db.n, tuple(key)), hook)
         )
         if count > best:
-            best = count
-            attaining = {x.pairing}
+            best, attaining = count, 1
         elif count == best and count > 0:
-            attaining.add(x.pairing)
-    return best, len(attaining)
+            attaining += 1
+    return best, attaining
 
 
 @dataclass(frozen=True)
@@ -221,16 +219,18 @@ def check_assumption2(db: MinimalDatabase) -> Assumption2Report:
 
 
 def dump_database(db: MinimalDatabase, fh: TextIO) -> None:
+    n = db.n
     lines = [
-        f"{format_tangle(x)}\t{entry.length}\t{format_word(_decode_word(db.n, entry.word))}"
-        for x, entry in db.items()
+        f"{format_tangle(Tangle(n, tuple(key)))}\t{len(enc)}\t{format_word(_decode_word(n, enc))}"
+        for key, enc in db.entries.items()
     ]
-    for line in sorted(lines):
+    lines.sort()
+    for line in lines:
         fh.write(line + "\n")
 
 
 def load_database(fh: TextIO) -> MinimalDatabase:
-    entries: dict[Pairing, DbEntry] = {}
+    entries: dict[bytes, bytes] = {}
     n = None
     for line in fh:
         line = line.rstrip("\n")
@@ -241,14 +241,15 @@ def load_database(fh: TextIO) -> MinimalDatabase:
             raise ParseError(f"bad database line {line!r}")
         x = parse_tangle(parts[0])
         if n is None:
+            if x.n > MAX_N:
+                raise ResourceLimit(f"B_{x.n} is too wide for the store (n <= {MAX_N})")
             n = x.n
         elif x.n != n:
             raise ParseError(f"mixed widths in database: B_{n} and B_{x.n}")
         word = parse_word(parts[2], x.n)
-        if len(word) != int(parts[1]):
+        if parts[1] != str(len(word)):
             raise ParseError(f"length field disagrees with word in {line!r}")
-        enc = bytes(map(_to_byte, word.factors))
-        entries[x.pairing] = DbEntry(len(word), enc, word.t_count())
+        entries[bytes(x.pairing)] = bytes(map(_to_byte, word.factors))
     if n is None:
         raise ParseError("empty database file")
     return MinimalDatabase(n, entries)

@@ -208,6 +208,18 @@ def reduce(word: Word, *, max_orbit: int = DEFAULT_MAX_ORBIT) -> ReduceResult:
 MAX_SAMPLE_LENGTH = 10_000
 
 
+def longest_sample(n: int, scale: float) -> int:
+    """scale*n(n-1)/2, widened to at least 3 so that every tangle (T_i in
+    particular, which no even-length word reaches at n=2) can be sampled
+    non-minimally; ResourceLimit beyond MAX_SAMPLE_LENGTH."""
+    longest = max(3, int(scale * n * (n - 1) / 2))
+    if longest > MAX_SAMPLE_LENGTH:
+        raise ResourceLimit(
+            f"scale {scale} samples words of up to {longest} factors; the cap is {MAX_SAMPLE_LENGTH}"
+        )
+    return longest
+
+
 @dataclass(frozen=True)
 class Assumption1Report:
     n: int
@@ -240,17 +252,10 @@ def check_assumption1(
     total = double_factorial_odd(n)
     if n < 2:
         return Assumption1Report(n, 0, total, (), 0, seed)
-    # The nominal cap scale*n(n-1)/2 is widened to at least 3 so that every
-    # tangle (T_i in particular, which no even-length word reaches at n=2)
-    # can be generated non-minimally.
-    longest = max(3, int(scale * n * (n - 1) / 2))
-    if longest > MAX_SAMPLE_LENGTH:
-        raise ResourceLimit(
-            f"scale {scale} samples words of up to {longest} factors; the cap is {MAX_SAMPLE_LENGTH}"
-        )
+    longest = longest_sample(n, scale)
     primes = [i for i in range(1, n)] + [-i for i in range(1, n)]
     ident = identity(n).pairing
-    tested: set[tuple[int, ...]] = set()
+    tested: set[bytes] = set()
     bad: list[Word] = []
     exhausted_samples = 0
     while len(tested) < total and patience > 0:
@@ -259,19 +264,19 @@ def check_assumption1(
         product = list(ident)
         for v in factors:
             right_multiply(product, n, v)
-        pairing = tuple(product)
-        entry = db.entries[pairing]
-        if entry.length == length:
+        key = bytes(product)
+        minimal = len(db.entries[key])
+        if minimal == length:
             continue  # only non-minimal factorizations are informative
-        if pairing in tested:
+        if key in tested:
             patience -= 1
             continue
-        tested.add(pairing)
+        tested.add(key)
         word = Word(n, factors)
         result = reduce(word, max_orbit=max_orbit)
         if result.exhausted:
             exhausted_samples += 1
-        elif len(result.word) != entry.length:
+        elif len(result.word) != minimal:
             bad.append(word)
     return Assumption1Report(
         n, len(tested), total, tuple(bad), exhausted_samples, seed

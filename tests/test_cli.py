@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import io
+import json
 import os
 import resource
 import subprocess
@@ -119,6 +120,20 @@ def test_oracle_build_needs_huge(capsys, monkeypatch):
     assert "ResourceLimit" in err
 
 
+def test_oracle_progress_is_json_lines(capsys, monkeypatch):
+    status, out, err = run(["oracle", "build", "5", "--huge"], "", capsys, monkeypatch)
+    assert status == 0
+    assert out == run(["oracle", "build", "5"], "", capsys, monkeypatch)[1]
+    levels = [json.loads(line) for line in err.splitlines()]
+    assert [rec["level"] for rec in levels] == list(range(11))
+    assert sum(rec["size"] for rec in levels) == 945
+    totals = [rec["total"] for rec in levels]
+    assert totals == sorted(totals) and totals[-1] == 945
+    for rec in levels:
+        assert set(rec) == {"level", "size", "total", "elapsed_s", "peak_rss_mb"}
+        assert rec["peak_rss_mb"] > 0
+
+
 def test_check_a2(capsys, monkeypatch):
     status, out, _ = run(["check-a2", "3"], "", capsys, monkeypatch)
     assert (status, out) == (0, "3,15,0\n")
@@ -180,38 +195,51 @@ def _cap_memory() -> None:
 
 
 @pytest.mark.parametrize(
-    "argv,stdin,capped,status,expected",
+    "argv,stdin,capped,status,expected,timeout",
     [
         pytest.param(
-            ["factorize", "/nonexistent"], "", False, 1, "error: FileNotFoundError:", id="no-file"
+            ["factorize", "/nonexistent"], "", False, 1, "error: FileNotFoundError:", 60,
+            id="no-file",
         ),
         pytest.param(
-            ["check-a1", "3", "--scale", "1e20"], "", True, 1, "error: ResourceLimit: scale",
+            ["check-a1", "3", "--scale", "1e20"], "", True, 1, "error: ResourceLimit: scale", 60,
             id="scale",
         ),
+        # Refused before the B_8 store (about 300 MB) is built.
         pytest.param(
-            ["check-a1", "3", "--scale", "nan"], "", False, 2, "--scale: not a finite", id="nan"
+            ["check-a1", "8", "--huge", "--scale", "1e20"], "", True, 1,
+            "error: ResourceLimit: scale", 5, id="scale-before-build",
         ),
         pytest.param(
-            ["check-a1", "3", "--scale", "inf"], "", False, 2, "--scale: not a finite", id="inf"
+            ["check-a1", "3", "--scale", "nan"], "", False, 2, "--scale: not a finite", 60,
+            id="nan",
         ),
         pytest.param(
-            ["factorize"], "B" + "1" * 5000 + ":\n", False, 1, "error: ParseError:", id="digits"
+            ["check-a1", "3", "--scale", "inf"], "", False, 2, "--scale: not a finite", 60,
+            id="inf",
         ),
         pytest.param(
-            ["factorize"], "B1000000000:\n", True, 1, "error: UncoveredNode:", id="header"
+            ["factorize"], "B" + "1" * 5000 + ":\n", False, 1, "error: ParseError:", 60,
+            id="digits",
         ),
         pytest.param(
-            ["compose", "--n", "1000000000", "T1"], "", True, 1, "error: ResourceLimit:",
+            ["factorize"], "B1000000000:\n", True, 1, "error: UncoveredNode:", 60, id="header"
+        ),
+        pytest.param(
+            ["compose", "--n", "1000000000", "T1"], "", True, 1, "error: ResourceLimit:", 60,
             id="compose",
         ),
         pytest.param(
             ["render", "--word", "T1", "--n", "1000000000"], "", True, 1,
-            "error: ResourceLimit:", id="render",
+            "error: ResourceLimit:", 60, id="render",
+        ),
+        pytest.param(
+            ["oracle", "build", "200", "--huge", "--max-nodes", "10"], "", True, 1,
+            "error: ResourceLimit:", 60, id="oracle-width",
         ),
     ],
 )
-def test_boundary_errors_are_named(argv, stdin, capped, status, expected):
+def test_boundary_errors_are_named(argv, stdin, capped, status, expected, timeout):
     env = dict(os.environ, PYTHONPATH=str(Path(brauer.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "brauer.cli", *argv],
@@ -220,7 +248,7 @@ def test_boundary_errors_are_named(argv, stdin, capped, status, expected):
         text=True,
         env=env,
         preexec_fn=_cap_memory if capped else None,
-        timeout=60,
+        timeout=timeout,
     )
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout) == (status, "")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
 
@@ -58,7 +59,7 @@ class TestBfs:
         d = db[n]
         assert len(d) == double_factorial_odd(n)
         # Same tangle set as the independent matching enumerator.
-        assert {x.pairing for x in all_tangles(n)} == set(d.entries)
+        assert {x.pairing for x in all_tangles(n)} == {x.pairing for x in d.tangles()}
         for x, entry in d.items():
             w = d.word(x)
             assert len(w) == entry.length
@@ -74,6 +75,16 @@ class TestBfs:
     def test_resource_limit(self):
         with pytest.raises(ResourceLimit):
             bfs_cayley(4, max_entries=50)
+
+    def test_store_is_compact(self):
+        # Two bytes objects per tangle: the B_8 store fits in about 330 MB.
+        tracemalloc.start()
+        try:
+            db = bfs_cayley(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(db) <= 160
 
     def test_max_length_attained_twice(self, db):
         for n in (3, 4, 5, 6):
@@ -149,6 +160,13 @@ class TestPersistence:
     def test_load_rejects_garbage(self):
         with pytest.raises(ParseError):
             load_database(io.StringIO("not a database\n"))
+        with pytest.raises(ParseError):
+            load_database(io.StringIO("B1: (1,1')\tzero\t\n"))
+
+    def test_load_refuses_widths_beyond_the_byte_key(self):
+        line = "B129: " + " ".join(f"({i},{i}')" for i in range(1, 130)) + "\t0\t\n"
+        with pytest.raises(ResourceLimit):
+            load_database(io.StringIO(line))
 
     def test_b3_golden_dump(self, db):
         # Frozen byte-for-byte: word choices are part of the contract.
