@@ -278,7 +278,7 @@ static int *read_pairing(PyObject *n_obj, PyObject *pairing, int *n_out)
     return mate;
 }
 
-static PyObject *crossing_counts(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *crossing_counts(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "pairing", NULL};
     PyObject *n_obj, *pairing, *result = NULL;
@@ -328,7 +328,7 @@ done:
     Py_XDECREF(b);
 }
 
-static PyObject *factorize_core(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *factorize_core(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "pairing", "indices", "min_t", "debug", NULL};
     PyObject *n_obj, *pairing, *indices, *items = NULL, *result = NULL;

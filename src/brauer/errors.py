@@ -80,5 +80,9 @@ class ResourceLimit(BrauerError):
     """An enumeration exceeded its configured node cap."""
 
 
+class IncompleteDatabase(BrauerError):
+    """A minimal-word store does not hold every tangle of B_n."""
+
+
 class NoMatch(BrauerError):
     """A rewrite rule does not match the word at the given position."""

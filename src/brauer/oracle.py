@@ -17,6 +17,17 @@ per tangle keep B_8 (2,027,025 tangles) near 330 MB.  DbEntry bundles the
 three for readers and is built on demand.  Enumeration reports (the length
 histogram, the merge-fanout maximum, the crossings-vs-T-count check) all
 read from the store.
+
+The text dump is sorted, yet it holds no line list and sorts nothing: it
+walks B_n in the order of its lines.  A line lists its edges anchored at
+their first node (top 1..n, then bottom 1'..n'), so once some edges are
+fixed, the next token of every line sharing them is anchored at the first
+free node.  Each token ends in its only ")", so none is a prefix of
+another and the first differing token decides the order of two lines.
+Matching the first free node with each free partner in the string order
+of the tokens therefore visits the pairings in sorted text order.  The
+walk visits all of B_n, so only a complete store dumps; load_database
+accepts only complete files, so every loaded store is all of B_n.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, TextIO
 
-from .errors import ParseError, ResourceLimit
+from .errors import IncompleteDatabase, ParseError, ResourceLimit
 from .tangle import (
     Tangle,
     Word,
@@ -37,6 +48,7 @@ from .tangle import (
     identity,
     parse_tangle,
     parse_word,
+    position_node,
     right_multiply,
     total_crossings,
 )
@@ -218,18 +230,63 @@ def check_assumption2(db: MinimalDatabase) -> Assumption2Report:
 # Flat-file persistence (sorted text, diffable across implementations)
 
 
+def _text_order(n: int) -> Iterator[bytes]:
+    """Every pairing of B_n, in the text order of its format_tangle line."""
+    if n < 2:
+        yield bytes(identity(n).pairing)
+        return
+    order = [*range(n), *range(2 * n - 1, n - 1, -1)]  # the positions of 1..n, 1'..n'
+    label = [str(position_node(n, p)) for p in range(2 * n)]
+    # Not numeric from n = 10 on: "(1,1')" < "(1,10')" < "(1,10)" < "(1,2')".
+    partners = {
+        a: sorted(order[i + 1 :], key=lambda b: f"({label[a]},{label[b]})")
+        for i, a in enumerate(order)
+    }
+    yield from _walk(bytearray(2 * n), order, partners)
+
+
+def _walk(pairing: bytearray, free: list[int], partners: dict[int, list[int]]) -> Iterator[bytes]:
+    # free holds the unmatched positions in node order, so free[0] anchors
+    # the next edge.  Module level, not a closure: a closure that calls
+    # itself is a cycle, which keeps the caller's store alive until a full
+    # collection.
+    a, *others = free
+    for b in partners[a]:
+        if b in others:
+            pairing[a], pairing[b] = b, a
+            rest = others.copy()
+            rest.remove(b)
+            if len(rest) == 2:
+                c, d = rest
+                pairing[c], pairing[d] = d, c
+                yield bytes(pairing)
+            else:
+                yield from _walk(pairing, rest, partners)
+
+
 def dump_database(db: MinimalDatabase, fh: TextIO) -> None:
-    n = db.n
-    lines = [
-        f"{format_tangle(Tangle(n, tuple(key)))}\t{len(enc)}\t{format_word(_decode_word(n, enc))}"
-        for key, enc in db.entries.items()
-    ]
-    lines.sort()
-    for line in lines:
-        fh.write(line + "\n")
+    """Write one line per tangle (its text, length and word, tab-separated)
+    in sorted text order (see the module docstring), each as it is walked.
+
+    The store must hold all of B_n: IncompleteDatabase otherwise.
+    """
+    n, entries = db.n, db.entries
+    if len(entries) != double_factorial_odd(n):
+        raise IncompleteDatabase(
+            f"B_{n} has {double_factorial_odd(n)} tangles, the store holds {len(entries)}"
+        )
+    for key in _text_order(n):
+        enc = entries.get(key)
+        if enc is None:
+            raise IncompleteDatabase(f"B_{n} store lacks {format_tangle(Tangle(n, tuple(key)))}")
+        fh.write(
+            f"{format_tangle(Tangle(n, tuple(key)))}\t{len(enc)}\t"
+            f"{format_word(_decode_word(n, enc))}\n"
+        )
 
 
 def load_database(fh: TextIO) -> MinimalDatabase:
+    """Read a dump back; ParseError unless it holds every tangle of B_n once."""
     entries: dict[bytes, bytes] = {}
     n = None
     for line in fh:
@@ -249,7 +306,14 @@ def load_database(fh: TextIO) -> MinimalDatabase:
         word = parse_word(parts[2], x.n)
         if parts[1] != str(len(word)):
             raise ParseError(f"length field disagrees with word in {line!r}")
-        entries[bytes(x.pairing)] = bytes(map(_to_byte, word.factors))
+        key = bytes(x.pairing)
+        if key in entries:
+            raise ParseError(f"tangle repeated in database: {parts[0]!r}")
+        entries[key] = bytes(map(_to_byte, word.factors))
     if n is None:
         raise ParseError("empty database file")
+    if len(entries) != double_factorial_odd(n):
+        raise ParseError(
+            f"database holds {len(entries)} of the {double_factorial_odd(n)} tangles of B_{n}"
+        )
     return MinimalDatabase(n, entries)

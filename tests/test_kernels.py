@@ -6,6 +6,10 @@ compiler exists."""
 from __future__ import annotations
 
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,19 @@ def nested_hooks(n: int) -> Tangle:
 @pytest.fixture(params=["pure", "c"])
 def kernel(request):
     return pure if request.param == "pure" else request.getfixturevalue("speedups")
+
+
+def test_kernel_source_has_no_warnings():
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("no gcc on PATH")
+    include = sysconfig.get_paths()["include"]
+    if not (Path(include) / "Python.h").is_file():
+        pytest.skip(f"no Python.h in {include}")
+    source = Path(brauer.__file__).parent / "_kernels" / "_speedups.c"
+    cmd = [gcc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{include}", str(source)]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_backend_reported():

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import io
+import itertools
 import tracemalloc
 
 import pytest
 
 from conftest import all_tangles
 
-from brauer.errors import ParseError, ResourceLimit
+from brauer.errors import IncompleteDatabase, ParseError, ResourceLimit
 from brauer.oracle import (
+    MinimalDatabase,
+    _text_order,
     bfs_cayley,
     check_assumption2,
     double_factorial_odd,
@@ -20,7 +23,9 @@ from brauer.oracle import (
     max_merges,
 )
 from brauer.tangle import (
+    Tangle,
     compose_word,
+    format_tangle,
     format_word,
     identity,
     parse_tangle,
@@ -156,6 +161,64 @@ class TestPersistence:
         lines = buf1.getvalue().splitlines()
         assert lines == sorted(lines)
         assert len(lines) == 15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_walk_is_text_order(self, n, db):
+        def text(key):
+            return format_tangle(Tangle(n, tuple(key)))
+
+        assert list(_text_order(n)) == sorted(db[n].entries, key=text)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_walk_is_text_order_with_two_digit_labels(self, n):
+        # "(1,1')" < "(1,10')" < "(1,10)" < "(1,2')": not the numeric order.
+        for start in (0, 10_000):  # the second slice crosses a subtree of 11!! keys
+            keys = itertools.islice(_text_order(n), start, start + 2_000)
+            lines = [format_tangle(Tangle(n, tuple(key))) for key in keys]
+            assert len(lines) == 2_000
+            assert all(a < b for a, b in itertools.pairwise(lines))
+
+    def test_dump_streams(self, db):
+        # The first line goes out before the dump holds a line per tangle:
+        # about 258 KB were traced at that point when all 945 lines were
+        # built and sorted first, under 4 KB when each is written as walked.
+        class FirstWrite(Exception):
+            pass
+
+        class Sink:
+            def write(self, text):
+                raise FirstWrite(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstWrite) as first:
+                dump_database(db[5], Sink())
+        finally:
+            tracemalloc.stop()
+        assert first.value.args[0] < 30_000
+
+    def test_dump_refuses_incomplete_stores(self, db):
+        partial = dict(itertools.islice(db[4].entries.items(), 60))
+        with pytest.raises(IncompleteDatabase, match="B_4 has 105 tangles, the store holds 60"):
+            dump_database(MinimalDatabase(4, partial), io.StringIO())
+        # Refused before a walk over (2n-1)!! pairings starts.
+        with pytest.raises(IncompleteDatabase):
+            dump_database(MinimalDatabase(40, {b"": b""}), io.StringIO())
+        # The right count with a key that is no tangle of B_3.
+        entries = dict(db[3].entries)
+        entries.pop(bytes(identity(3).pairing))
+        entries[b"\x00" * 6] = b""
+        with pytest.raises(IncompleteDatabase, match=r"lacks B3: \(1,1'\) \(2,2'\) \(3,3'\)"):
+            dump_database(MinimalDatabase(3, entries), io.StringIO())
+
+    def test_load_refuses_incomplete_files(self, db):
+        buf = io.StringIO()
+        dump_database(db[4], buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        with pytest.raises(ParseError, match="60 of the 105 tangles of B_4"):
+            load_database(io.StringIO("".join(lines[:60])))
+        with pytest.raises(ParseError, match="repeated"):
+            load_database(io.StringIO("".join(lines[:60] + lines[59:])))
 
     def test_load_rejects_garbage(self):
         with pytest.raises(ParseError):
