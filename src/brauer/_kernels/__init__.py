@@ -26,3 +26,5 @@ else:
 
 crossing_counts = impl.crossing_counts
 factorize_core = impl.factorize_core
+rank = impl.rank
+unrank = impl.unrank

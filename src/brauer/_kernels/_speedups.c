@@ -1,5 +1,6 @@
-/* Compiled kernels: the crossing-count table and the incremental
- * factorization loop, on the position encoding of brauer.tangle.
+/* Compiled kernels: the crossing-count table, the incremental
+ * factorization loop and the mixed-radix rank of a pairing, on the
+ * position encoding of brauer.tangle.
  *
  * This is the C twin of pure.py, which stays the reference: both check
  * their arguments the same way, return the same lists and raise the same
@@ -12,9 +13,12 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <stdint.h>
 #include <string.h>
 
-static PyObject *InvalidPairing, *IndexOutOfRange, *NoViableMerge, *InternalError;
+static PyObject *InvalidPairing, *IndexOutOfRange, *NoViableMerge, *InternalError, *ResourceLimit;
+
+#define MAX_RANK_N 17 /* the largest n with (2n-1)!! < 2**63 */
 
 enum status { DONE, NO_MERGE, TABLE_DRIFT, SIZE_DRIFT, NOT_IDENTITY };
 
@@ -44,6 +48,45 @@ static void counts_into(int n, const int *mate, int *out)
     for (int p = 0; p < m; p++)
         if (mate[p] > p)
             out[mate[p]] = out[p];
+}
+
+/* The rank of a checked pairing of 2n <= 34 positions: avail holds one bit
+ * per unmatched position, so its lowest bit p anchors the next edge and
+ * the avail bits below mate[p] count the digit. */
+static uint64_t rank_of(int m, const int *mate)
+{
+    uint64_t r = 0, avail = m ? ~0ULL >> (64 - m) : 0;
+    for (int p = 0; p < m; p++) {
+        if (!(avail >> p & 1))
+            continue;
+        int q = mate[p];
+        avail &= ~(1ULL << p);
+        r = r * (uint64_t)__builtin_popcountll(avail)
+            + (uint64_t)__builtin_popcountll(avail & ((1ULL << q) - 1));
+        avail &= ~(1ULL << q);
+    }
+    return r;
+}
+
+/* The pairing of rank r < (2n-1)!!, n <= MAX_RANK_N, into mate[0..2n-1]. */
+static void unrank_into(int n, uint64_t r, int *mate)
+{
+    int digit[MAX_RANK_N], avail[2 * MAX_RANK_N], navail = 2 * n;
+    for (int j = n - 1; j >= 0; j--) {     /* digit j has radix 2(n-j)-1 */
+        uint64_t radix = (uint64_t)(2 * (n - j) - 1);
+        digit[j] = (int)(r % radix);
+        r /= radix;
+    }
+    for (int p = 0; p < navail; p++)
+        avail[p] = p;
+    for (int j = 0; j < n; j++) {
+        int k = digit[j] + 1, p = avail[0], q = avail[k];
+        mate[p] = q;
+        mate[q] = p;
+        memmove(avail + k, avail + k + 1, (size_t)(navail - k - 1) * sizeof(int));
+        memmove(avail, avail + 1, (size_t)(navail - 2) * sizeof(int));
+        navail -= 2;
+    }
 }
 
 /* The replacement edges (t[0],t[1]) and (t[2],t[3]) for merging the hook
@@ -300,6 +343,64 @@ static PyObject *crossing_counts(PyObject *Py_UNUSED(self), PyObject *args, PyOb
     return result;
 }
 
+/* n as a C int, or -1 with pure.py's exception unless 0 <= n <= MAX_RANK_N. */
+static int read_rank_n(PyObject *n_obj)
+{
+    PyObject *n_int = PyNumber_Index(n_obj);
+    if (n_int == NULL)
+        return -1;
+    int overflow;
+    long n = PyLong_AsLongAndOverflow(n_int, &overflow);
+    if (overflow || n < 0 || n > MAX_RANK_N) {
+        PyErr_Format(ResourceLimit, "ranks need (2n-1)!! < 2**63, so 0 <= n <= %d; got n = %S",
+                     MAX_RANK_N, n_int);
+        n = -1;
+    }
+    Py_DECREF(n_int);
+    return (int)n;
+}
+
+static PyObject *rank(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "pairing", NULL};
+    PyObject *n_obj, *pairing;
+    int n;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &n_obj, &pairing))
+        return NULL;
+    if (read_rank_n(n_obj) < 0)
+        return NULL;
+    int *mate = read_pairing(n_obj, pairing, &n);
+    if (mate == NULL)
+        return NULL;
+    uint64_t r = rank_of(2 * n, mate);
+    PyMem_Free(mate);
+    return PyLong_FromUnsignedLongLong(r);
+}
+
+static PyObject *unrank(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "r", NULL};
+    PyObject *n_obj, *r_obj, *r_int;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &n_obj, &r_obj))
+        return NULL;
+    int n = read_rank_n(n_obj), mate[2 * MAX_RANK_N];
+    if (n < 0 || (r_int = PyNumber_Index(r_obj)) == NULL)
+        return NULL;
+    long long total = 1, r;
+    for (int k = 3; k < 2 * n; k += 2)
+        total *= k;
+    int overflow;
+    r = PyLong_AsLongLongAndOverflow(r_int, &overflow);
+    if (overflow || r < 0 || r >= total) {
+        PyErr_Format(IndexOutOfRange, "rank %S outside 0..%lld for n = %d", r_int, total - 1, n);
+        Py_DECREF(r_int);
+        return NULL;
+    }
+    Py_DECREF(r_int);
+    unrank_into(n, (uint64_t)r, mate);
+    return int_seq(mate, 2 * n, 0);
+}
+
 /* Raise the exception for a failed loop, with pure.py's message. */
 static void raise_status(enum status st, int m, const int *mate, const int *tc,
                          const int *fresh, const int *at, int i)
@@ -377,6 +478,10 @@ static PyMethodDef methods[] = {
     {"factorize_core", (PyCFunction)(void (*)(void))factorize_core, METH_VARARGS | METH_KEYWORDS,
      "Run the incremental factorization loop; returns signed factor codes\n"
      "(+i for T_i, -i for U_i)."},
+    {"rank", (PyCFunction)(void (*)(void))rank, METH_VARARGS | METH_KEYWORDS,
+     "The rank of the pairing in 0..(2n-1)!!-1."},
+    {"unrank", (PyCFunction)(void (*)(void))unrank, METH_VARARGS | METH_KEYWORDS,
+     "The pairing of rank r, as a list."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -394,8 +499,9 @@ PyMODINIT_FUNC PyInit__speedups(void)
     IndexOutOfRange = PyObject_GetAttrString(errors, "IndexOutOfRange");
     NoViableMerge = PyObject_GetAttrString(errors, "NoViableMerge");
     InternalError = PyObject_GetAttrString(errors, "InternalError");
+    ResourceLimit = PyObject_GetAttrString(errors, "ResourceLimit");
     Py_DECREF(errors);
-    if (!InvalidPairing || !IndexOutOfRange || !NoViableMerge || !InternalError)
+    if (!InvalidPairing || !IndexOutOfRange || !NoViableMerge || !InternalError || !ResourceLimit)
         return NULL;
     return PyModule_Create(&module);
 }

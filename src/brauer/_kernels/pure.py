@@ -8,6 +8,13 @@ involution of range(2n) raises InvalidPairing, a factor index outside
 1..n-1 raises IndexOutOfRange, and a value without __index__ raises
 TypeError.  Keep the two implementations in sync, messages included.
 
+rank and unrank number the pairings of B_n in mixed radix
+(2n-1)(2n-3)...1: the first free position is matched with the k-th of the
+2j+1 free positions after it (j pairs still to place), and k is the digit
+of radix 2j+1, most significant first.  Ranks are 63-bit in C, so both
+twins refuse an n outside 0..17 with ResourceLimit, and a rank outside
+0..(2n-1)!!-1 with IndexOutOfRange.
+
 factorize_core consumes the index sequence extracted from the bubble-sort
 factorization of the crossing-minimal permutation image.  For each index i
 it either strips a top crossing (compose T_i on top, the two touched edges
@@ -19,9 +26,18 @@ length test is linear per candidate.
 
 from __future__ import annotations
 
+import math
 import operator
 
-from brauer.errors import IndexOutOfRange, InternalError, InvalidPairing, NoViableMerge
+from brauer.errors import (
+    IndexOutOfRange,
+    InternalError,
+    InvalidPairing,
+    NoViableMerge,
+    ResourceLimit,
+)
+
+MAX_RANK_N = 17  # the largest n with (2n-1)!! < 2**63
 
 
 def _checked_pairing(n, pairing):
@@ -35,6 +51,55 @@ def _checked_pairing(n, pairing):
             f"pairing is not a fixed-point-free involution of range(2n) for n = {n}"
         )
     return n, mate
+
+
+def _checked_rank_n(n):
+    n = operator.index(n)
+    if not 0 <= n <= MAX_RANK_N:
+        raise ResourceLimit(f"ranks need (2n-1)!! < 2**63, so 0 <= n <= {MAX_RANK_N}; got n = {n}")
+    return n
+
+
+def rank(n, pairing):
+    """The rank of the pairing in 0..(2n-1)!!-1."""
+    n = _checked_rank_n(n)
+    mate = list(map(operator.index, pairing))
+    # The walk is the check: each anchor's partner is free and points back.
+    free = list(range(len(mate))) if len(mate) == 2 * n else None
+    r = 0
+    while free:
+        p = free.pop(0)
+        q = mate[p]
+        if q not in free or mate[q] != p:
+            break
+        k = free.index(q)
+        r = r * len(free) + k
+        del free[k]
+    if free != []:
+        raise InvalidPairing(
+            f"pairing is not a fixed-point-free involution of range(2n) for n = {n}"
+        )
+    return r
+
+
+def unrank(n, r):
+    """The pairing of rank r, as a list."""
+    n = _checked_rank_n(n)
+    r = operator.index(r)
+    total = math.prod(range(1, 2 * n, 2))
+    if not 0 <= r < total:
+        raise IndexOutOfRange(f"rank {r} outside 0..{total - 1} for n = {n}")
+    digits = []
+    for radix in range(1, 2 * n, 2):  # least significant first
+        r, k = divmod(r, radix)
+        digits.append(k)
+    free = list(range(2 * n))
+    mate = [0] * (2 * n)
+    for k in reversed(digits):
+        p = free.pop(0)
+        q = free.pop(k)
+        mate[p], mate[q] = q, p
+    return mate
 
 
 def crossing_counts(n, pairing):

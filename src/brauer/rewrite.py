@@ -19,6 +19,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+from ._kernels import rank
 from .errors import NoMatch, ResourceLimit
 from .oracle import MinimalDatabase, double_factorial_odd
 from .tangle import Word, identity, right_multiply
@@ -255,7 +256,7 @@ def check_assumption1(
     longest = longest_sample(n, scale)
     primes = [i for i in range(1, n)] + [-i for i in range(1, n)]
     ident = identity(n).pairing
-    tested: set[bytes] = set()
+    tested: set[int] = set()
     bad: list[Word] = []
     exhausted_samples = 0
     while len(tested) < total and patience > 0:
@@ -264,8 +265,8 @@ def check_assumption1(
         product = list(ident)
         for v in factors:
             right_multiply(product, n, v)
-        key = bytes(product)
-        minimal = len(db.entries[key])
+        key = rank(n, product)
+        minimal = db.lengths[key]
         if minimal == length:
             continue  # only non-minimal factorizations are informative
         if key in tested:

@@ -62,21 +62,26 @@ def db() -> dict[int, MinimalDatabase]:
 @pytest.fixture(scope="session")
 def speedups(tmp_path_factory):
     """The C kernel, built from the package's _speedups.c into a temporary
-    directory and loaded from there; skips only when no C compiler exists."""
-    cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc})")
-    from setuptools import Distribution, Extension
-
+    directory and loaded from there; skips only when no C compiler exists.
+    BRAUER_SPEEDUPS names a build to load instead (test_sanitizers.py
+    passes its sanitizer build this way)."""
     name = "brauer._kernels._speedups"
-    source = Path(brauer.__file__).parent / "_kernels" / "_speedups.c"
-    out = tmp_path_factory.mktemp("speedups")
-    dist = Distribution({"ext_modules": [Extension(name, [str(source)], extra_compile_args=["-O2"])]})
-    build = dist.get_command_obj("build_ext")
-    build.build_lib, build.build_temp = str(out), str(out / "tmp")
-    build.ensure_finalized()
-    build.run()
-    spec = importlib.util.spec_from_file_location(name, build.get_ext_fullpath(name))
+    path = os.environ.get("BRAUER_SPEEDUPS")
+    if not path:
+        cc = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
+        if shutil.which(cc) is None:
+            pytest.skip(f"no C compiler ({cc})")
+        from setuptools import Distribution, Extension
+
+        source = Path(brauer.__file__).parent / "_kernels" / "_speedups.c"
+        out = tmp_path_factory.mktemp("speedups")
+        ext = Extension(name, [str(source)], extra_compile_args=["-O2"])
+        build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
+        build.build_lib, build.build_temp = str(out), str(out / "tmp")
+        build.ensure_finalized()
+        build.run()
+        path = build.get_ext_fullpath(name)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

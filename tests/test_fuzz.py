@@ -62,6 +62,14 @@ def test_kernels_agree_on_raw_input(speedups, case, indices, min_t, debug):
         assert outcome(getattr(pure, fn), *args) == outcome(getattr(speedups, fn), *args)
 
 
+@FUZZ
+@given(pairings(), raw_ints)
+def test_rank_twins_agree_on_raw_input(speedups, case, r):
+    n, values = case
+    for fn, args in (("rank", (n, values)), ("unrank", (n, r))):
+        assert outcome(getattr(pure, fn), *args) == outcome(getattr(speedups, fn), *args)
+
+
 words = st.text(max_size=24) | st.lists(
     st.sampled_from(["T1", "U1", "T2", "U3", "T0", "U-1", "t2", "T²", "U١", "T99999999999", "X"]),
     max_size=6,

@@ -5,6 +5,7 @@ compiler exists."""
 
 from __future__ import annotations
 
+import math
 import random
 import shutil
 import subprocess
@@ -13,11 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import outcome
+from conftest import all_pairings, outcome
 
 import brauer
 from brauer._kernels import pure
-from brauer.errors import BrauerError, IndexOutOfRange, InternalError, InvalidPairing
+from brauer.errors import (
+    BrauerError,
+    IndexOutOfRange,
+    InternalError,
+    InvalidPairing,
+    ResourceLimit,
+)
 from brauer.factorize import factor_indices
 from brauer.tangle import Tangle, identity, random_tangle
 
@@ -145,3 +152,76 @@ def test_random_index_sequences_agree(speedups):
             for debug in (False, True):
                 args = (n, x.pairing, indices, min_t, debug)
                 assert outcome(pure.factorize_core, *args) == outcome(speedups.factorize_core, *args)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_unrank_is_a_bijection(kernel, n):
+    total = math.prod(range(1, 2 * n, 2))
+    pairings = [tuple(kernel.unrank(n, r)) for r in range(total)]
+    assert sorted(pairings) == sorted(all_pairings(2 * n))
+    assert [kernel.rank(n, p) for p in pairings] == list(range(total))
+
+
+def test_rank_digits_are_random_tangle_draws(kernel):
+    # random_tangle matches the first free position with the k-th free one
+    # after it; its draws k, radix 2n-1 first, are the digits of the rank.
+    rng = random.Random(7)
+    for n in range(1, 10):
+        radices = range(2 * n - 1, 0, -2)
+        digits = [rng.randrange(radix) for radix in radices]
+        draws = iter(digits)
+
+        class Replay:
+            def randrange(self, stop):
+                return next(draws)
+
+        r = 0
+        for k, radix in zip(digits, radices):
+            r = r * radix + k
+        assert kernel.rank(n, random_tangle(n, Replay()).pairing) == r
+
+
+def test_rank_twins_agree_on_random_tangles(speedups):
+    rng = random.Random(5)
+    for n in range(10):
+        for _ in range(40):
+            x = random_tangle(n, rng)
+            r = pure.rank(n, x.pairing)
+            assert speedups.rank(n, x.pairing) == r
+            assert pure.unrank(n, r) == speedups.unrank(n, r) == list(x.pairing)
+    top = math.prod(range(1, 34, 2)) - 1  # n = 17, the widest 63-bit rank
+    assert pure.unrank(17, top) == speedups.unrank(17, top)
+    assert speedups.rank(17, speedups.unrank(17, top)) == top
+
+
+@pytest.mark.parametrize(
+    "fn, args, error",
+    [
+        ("rank", (2, [1, 2, 3, 0]), InvalidPairing),  # not an involution
+        ("rank", (2, [1, 0, 2, 3]), InvalidPairing),  # fixed points
+        ("rank", (2, [3, 2, 1, -1]), InvalidPairing),
+        ("rank", (2, [3, 2, 1, 10**30]), InvalidPairing),
+        ("rank", (2, [1, 0]), InvalidPairing),  # wrong length
+        ("rank", (2, [3, 2, 1, 0, 5]), InvalidPairing),
+        ("rank", (18, list(range(36))[::-1]), ResourceLimit),  # (35)!! > 2**63
+        ("rank", (-1, []), ResourceLimit),
+        ("rank", (10**30, []), ResourceLimit),
+        ("unrank", (2, 3), IndexOutOfRange),  # B_2 has ranks 0..2
+        ("unrank", (2, -1), IndexOutOfRange),
+        ("unrank", (17, 2**63), IndexOutOfRange),
+        ("unrank", (0, 1), IndexOutOfRange),
+        ("unrank", (18, 0), ResourceLimit),
+        ("unrank", (-(10**30), 10**30), ResourceLimit),
+    ],
+)
+def test_rank_errors_agree(speedups, fn, args, error):
+    expected = outcome(getattr(pure, fn), *args)
+    assert isinstance(expected, tuple) and expected[0] is error
+    assert outcome(getattr(speedups, fn), *args) == expected
+
+
+def test_rank_non_integers_raise_type_error(kernel):
+    cases = (("rank", (2.0, [3, 2, 1, 0])), ("rank", (2, [3, 2, 1, 0.0])), ("unrank", (2, 1.0)))
+    for fn, args in cases:
+        with pytest.raises(TypeError):
+            getattr(kernel, fn)(*args)

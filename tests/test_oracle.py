@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import itertools
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import all_tangles
 
 from brauer.errors import IncompleteDatabase, ParseError, ResourceLimit
 from brauer.oracle import (
+    ABSENT,
     MinimalDatabase,
     _text_order,
     bfs_cayley,
@@ -78,18 +80,23 @@ class TestBfs:
         assert db[3].length(parse_tangle("B3: (1,3) (2,1') (2',3')")) == 2
 
     def test_resource_limit(self):
-        with pytest.raises(ResourceLimit):
+        # Refused up front: B_4 has 105 tangles.
+        with pytest.raises(ResourceLimit, match="B_4 has 105 tangles, more than the cap of 50"):
             bfs_cayley(4, max_entries=50)
+        assert len(bfs_cayley(4, max_entries=105)) == 105
+        with pytest.raises(ResourceLimit, match="1 <= n <= 9"):
+            bfs_cayley(10)
 
     def test_store_is_compact(self):
-        # Two bytes objects per tangle: the B_8 store fits in about 330 MB.
+        # Seven bytes per tangle plus the level being expanded: B_8 fits
+        # in 14 MB, B_9 in 241 MB.
         tracemalloc.start()
         try:
             db = bfs_cayley(5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / len(db) <= 160
+        assert peak / len(db) <= 40
 
     def test_max_length_attained_twice(self, db):
         for n in (3, 4, 5, 6):
@@ -146,12 +153,20 @@ class TestAssumption2:
 
 class TestPersistence:
     def test_roundtrip(self, db):
+        for n in range(1, 6):
+            buf = io.StringIO()
+            dump_database(db[n], buf)
+            buf.seek(0)
+            loaded = load_database(buf)
+            assert loaded.n == n
+            assert list(loaded.items()) == list(db[n].items())
+
+    @pytest.mark.slow
+    def test_roundtrip_n6(self, db):
         buf = io.StringIO()
-        dump_database(db[3], buf)
+        dump_database(db[6], buf)
         buf.seek(0)
-        loaded = load_database(buf)
-        assert loaded.n == 3
-        assert loaded.entries == db[3].entries
+        assert list(load_database(buf).items()) == list(db[6].items())
 
     def test_dump_is_sorted_and_stable(self, db):
         buf1, buf2 = io.StringIO(), io.StringIO()
@@ -164,10 +179,10 @@ class TestPersistence:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_walk_is_text_order(self, n, db):
-        def text(key):
-            return format_tangle(Tangle(n, tuple(key)))
+        def text(pairing):
+            return format_tangle(Tangle(n, pairing))
 
-        assert list(_text_order(n)) == sorted(db[n].entries, key=text)
+        assert list(_text_order(n)) == sorted((x.pairing for x in db[n].tangles()), key=text)
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_walk_is_text_order_with_two_digit_labels(self, n):
@@ -198,18 +213,32 @@ class TestPersistence:
         assert first.value.args[0] < 30_000
 
     def test_dump_refuses_incomplete_stores(self, db):
-        partial = dict(itertools.islice(db[4].entries.items(), 60))
+        # A store is made only whole, so no dump walks a partial one.
+        d = db[4]
+        arrays = (d.lengths, d.t_counts, d.lasts, d.parents)
         with pytest.raises(IncompleteDatabase, match="B_4 has 105 tangles, the store holds 60"):
-            dump_database(MinimalDatabase(4, partial), io.StringIO())
-        # Refused before a walk over (2n-1)!! pairings starts.
-        with pytest.raises(IncompleteDatabase):
-            dump_database(MinimalDatabase(40, {b"": b""}), io.StringIO())
-        # The right count with a key that is no tangle of B_3.
-        entries = dict(db[3].entries)
-        entries.pop(bytes(identity(3).pairing))
-        entries[b"\x00" * 6] = b""
-        with pytest.raises(IncompleteDatabase, match=r"lacks B3: \(1,1'\) \(2,2'\) \(3,3'\)"):
-            dump_database(MinimalDatabase(3, entries), io.StringIO())
+            MinimalDatabase(4, *(a[:60] for a in arrays))
+        with pytest.raises(IncompleteDatabase, match="the store holds 104, 105"):
+            MinimalDatabase(4, *arrays[:3], d.parents[1:])
+        lengths = bytearray(d.lengths)
+        lengths[44] = ABSENT
+        with pytest.raises(IncompleteDatabase, match="B_4 store lacks 1 of its 105 tangles"):
+            MinimalDatabase(4, lengths, *arrays[1:])
+        # Refused before (2n-1)!! is allocated or walked.
+        with pytest.raises(ResourceLimit):
+            MinimalDatabase(40, bytearray(1), bytearray(1), bytearray(1), array("I", [0]))
+
+    @pytest.mark.parametrize("report", [max_merges, length_table, check_assumption2])
+    def test_reports_cannot_see_partial_stores(self, db, report):
+        # The first 60 of B_4's 105 tangles once read (1, 32), 60 tested
+        # and a histogram that stops at length 3.
+        d = db[4]
+        arrays = (d.lengths, d.t_counts, d.lasts, d.parents)
+        lengths = bytearray(d.lengths)
+        lengths[60:] = bytes([ABSENT]) * 45
+        for store in ([a[:60] for a in arrays], [lengths, *arrays[1:]]):
+            with pytest.raises(IncompleteDatabase):
+                report(MinimalDatabase(4, *store))
 
     def test_load_refuses_incomplete_files(self, db):
         buf = io.StringIO()
@@ -219,6 +248,35 @@ class TestPersistence:
             load_database(io.StringIO("".join(lines[:60])))
         with pytest.raises(ParseError, match="repeated"):
             load_database(io.StringIO("".join(lines[:60] + lines[59:])))
+
+    def test_load_rejects_words_that_do_not_compose(self, db):
+        # Swapping the words of two length-1 lines once loaded, and the
+        # store then gave U2 for the tangle of T2.
+        buf = io.StringIO()
+        dump_database(db[3], buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        t2, u2 = lines[1], lines[2]
+        assert t2.endswith("\tT2\n") and u2.endswith("\tU2\n")
+        lines[1], lines[2] = t2.replace("T2", "U2"), u2.replace("U2", "T2")
+        with pytest.raises(ParseError, match="does not compose to its tangle"):
+            load_database(io.StringIO("".join(lines)))
+
+    def test_load_rejects_words_not_prefix_closed(self, db):
+        # T2 T1 T2 is the same tangle as T1 T2 T1, whose own line keeps
+        # T1 T2 T1: each word is minimal and composes, but one prefix is
+        # not the word of its tangle.
+        buf = io.StringIO()
+        dump_database(db[4], buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        k = next(k for k, line in enumerate(lines) if "\tT1 T2 T1 " in line)
+        lines[k] = lines[k].replace("\tT1 T2 T1 ", "\tT2 T1 T2 ")
+        with pytest.raises(ParseError, match="not prefix-closed"):
+            load_database(io.StringIO("".join(lines)))
+        # A word that passes its own tangle twice is not prefix-closed
+        # with itself.
+        text = buf.getvalue().replace("\t1\tT1\n", "\t3\tT1 T2 T2\n", 1)
+        with pytest.raises(ParseError, match="not prefix-closed"):
+            load_database(io.StringIO(text))
 
     def test_load_rejects_garbage(self):
         with pytest.raises(ParseError):
