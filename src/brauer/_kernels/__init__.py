@@ -25,6 +25,7 @@ else:
         BACKEND = "pure"
 
 crossing_counts = impl.crossing_counts
+expand = impl.expand
 factorize_core = impl.factorize_core
 rank = impl.rank
 unrank = impl.unrank

@@ -1,6 +1,7 @@
 /* Compiled kernels: the crossing-count table, the incremental
- * factorization loop and the mixed-radix rank of a pairing, on the
- * position encoding of brauer.tangle.
+ * factorization loop, the mixed-radix rank of a pairing and the oracle
+ * search's expansion of one level class, on the position encoding of
+ * brauer.tangle.
  *
  * This is the C twin of pure.py, which stays the reference: both check
  * their arguments the same way, return the same lists and raise the same
@@ -16,9 +17,12 @@
 #include <stdint.h>
 #include <string.h>
 
-static PyObject *InvalidPairing, *IndexOutOfRange, *NoViableMerge, *InternalError, *ResourceLimit;
+static PyObject *InvalidPairing, *IndexOutOfRange, *NoViableMerge, *InternalError, *ResourceLimit,
+    *IncompleteDatabase;
 
 #define MAX_RANK_N 17 /* the largest n with (2n-1)!! < 2**63 */
+#define MAX_N 9       /* the widest oracle store, as pure.MAX_N */
+#define ABSENT 0xFF   /* the length byte of a tangle the store does not hold */
 
 enum status { DONE, NO_MERGE, TABLE_DRIFT, SIZE_DRIFT, NOT_IDENTITY };
 
@@ -87,6 +91,27 @@ static void unrank_into(int n, uint64_t r, int *mate)
         memmove(avail, avail + 1, (size_t)(navail - 2) * sizeof(int));
         navail -= 2;
     }
+}
+
+/* pure.right_multiply: mate becomes X . T_v (v > 0) or X . U_-v;
+ * 0, leaving mate as it is, when X has the lower hook at that column. */
+static inline int right_multiply(int *mate, int n, int v)
+{
+    int bi = 2 * n - abs(v), bj = bi - 1, a = mate[bi], b = mate[bj];
+    if (a == bj)
+        return 0;
+    if (v > 0) {
+        mate[bj] = a;
+        mate[a] = bj;
+        mate[bi] = b;
+        mate[b] = bi;
+    } else {
+        mate[a] = b;
+        mate[b] = a;
+        mate[bi] = bj;
+        mate[bj] = bi;
+    }
+    return 1;
 }
 
 /* The replacement edges (t[0],t[1]) and (t[2],t[3]) for merging the hook
@@ -272,9 +297,29 @@ static PyObject *int_seq(const int *a, int len, int tuple)
     return seq;
 }
 
+/* Convert the items of seq (a list or tuple) by __index__ into a[0..cap-1]
+ * and return their number, or -1; items past cap are converted but not
+ * stored.  An item outside the int range reads as -1, which no caller
+ * accepts.  The size is re-read and each item held while its __index__
+ * runs, since that may change a list. */
+static Py_ssize_t fill_ints(PyObject *seq, int *a, Py_ssize_t cap)
+{
+    Py_ssize_t k;
+    for (k = 0; k < PySequence_Fast_GET_SIZE(seq); k++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, k);
+        Py_INCREF(item);
+        Py_ssize_t v = PyNumber_AsSsize_t(item, NULL);
+        Py_DECREF(item);
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        if (k < cap)
+            a[k] = v < 0 || v > INT_MAX ? -1 : (int)v;
+    }
+    return k;
+}
+
 /* The items of obj converted by __index__ into a new PyMem array of *len
- * ints; an item outside the int range reads as -1, which no caller
- * accepts.  *items keeps the items for error messages. */
+ * ints; *items keeps them, as a tuple, for error messages. */
 static int *read_ints(PyObject *obj, PyObject **items, Py_ssize_t *len)
 {
     *items = PySequence_Tuple(obj);
@@ -286,16 +331,25 @@ static int *read_ints(PyObject *obj, PyObject **items, Py_ssize_t *len)
         PyErr_NoMemory();
         return NULL;
     }
-    for (Py_ssize_t k = 0; k < *len; k++) {
-        Py_ssize_t v = PyNumber_AsSsize_t(PyTuple_GET_ITEM(*items, k), NULL);
-        if (v == -1 && PyErr_Occurred()) {
-            PyMem_Free(a);
-            return NULL;
-        }
-        a[k] = v < 0 || v > INT_MAX ? -1 : (int)v;
+    if (fill_ints(*items, a, *len) < 0) {
+        PyMem_Free(a);
+        return NULL;
     }
     return a;
 }
+
+/* Whether mate[0..len-1] is a fixed-point-free involution of range(2n). */
+static int is_pairing(const int *mate, Py_ssize_t len, Py_ssize_t n)
+{
+    if (n < 0 || n > INT_MAX / 2 || len != 2 * n)
+        return 0;
+    for (Py_ssize_t p = 0; p < len; p++)
+        if (mate[p] < 0 || mate[p] >= len || mate[p] == p || mate[mate[p]] != p)
+            return 0;
+    return 1;
+}
+
+#define NOT_A_PAIRING "pairing is not a fixed-point-free involution of range(2n) for n = "
 
 /* n as a C int and the checked pairing as a PyMem array of 2n ints, or
  * NULL with the exception pure.py raises on the same arguments. */
@@ -307,12 +361,8 @@ static int *read_pairing(PyObject *n_obj, PyObject *pairing, int *n_out)
     Py_ssize_t n = PyNumber_AsSsize_t(n_int, NULL), len = 0;
     int *mate = read_ints(pairing, &items, &len);
     Py_XDECREF(items);
-    int ok = mate != NULL && n >= 0 && n <= INT_MAX / 2 && len == 2 * n;
-    for (Py_ssize_t p = 0; ok && p < len; p++)
-        ok = mate[p] >= 0 && mate[p] < len && mate[p] != p && mate[mate[p]] == p;
-    if (mate != NULL && !ok) {
-        PyErr_Format(InvalidPairing,
-                     "pairing is not a fixed-point-free involution of range(2n) for n = %S", n_int);
+    if (mate != NULL && !is_pairing(mate, len, n)) {
+        PyErr_Format(InvalidPairing, NOT_A_PAIRING "%S", n_int);
         PyMem_Free(mate);
         mate = NULL;
     }
@@ -343,15 +393,27 @@ static PyObject *crossing_counts(PyObject *Py_UNUSED(self), PyObject *args, PyOb
     return result;
 }
 
+/* A new reference to obj.__index__() in *as_int and its value, saturated
+ * to the range of long, in *v; -1 on failure. */
+static int read_index(PyObject *obj, PyObject **as_int, long *v)
+{
+    int overflow;
+    if ((*as_int = PyNumber_Index(obj)) == NULL)
+        return -1;
+    *v = PyLong_AsLongAndOverflow(*as_int, &overflow);
+    if (overflow)
+        *v = overflow > 0 ? LONG_MAX : LONG_MIN;
+    return 0;
+}
+
 /* n as a C int, or -1 with pure.py's exception unless 0 <= n <= MAX_RANK_N. */
 static int read_rank_n(PyObject *n_obj)
 {
-    PyObject *n_int = PyNumber_Index(n_obj);
-    if (n_int == NULL)
+    PyObject *n_int;
+    long n;
+    if (read_index(n_obj, &n_int, &n) < 0)
         return -1;
-    int overflow;
-    long n = PyLong_AsLongAndOverflow(n_int, &overflow);
-    if (overflow || n < 0 || n > MAX_RANK_N) {
+    if (n < 0 || n > MAX_RANK_N) {
         PyErr_Format(ResourceLimit, "ranks need (2n-1)!! < 2**63, so 0 <= n <= %d; got n = %S",
                      MAX_RANK_N, n_int);
         n = -1;
@@ -363,18 +425,21 @@ static int read_rank_n(PyObject *n_obj)
 static PyObject *rank(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "pairing", NULL};
-    PyObject *n_obj, *pairing;
-    int n;
+    PyObject *n_obj, *pairing, *seq;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &n_obj, &pairing))
         return NULL;
-    if (read_rank_n(n_obj) < 0)
+    int n = read_rank_n(n_obj), mate[2 * MAX_RANK_N];
+    if (n < 0 || (seq = PySequence_Fast(pairing, "pairing is not iterable")) == NULL)
         return NULL;
-    int *mate = read_pairing(n_obj, pairing, &n);
-    if (mate == NULL)
+    Py_ssize_t len = fill_ints(seq, mate, 2 * n);
+    Py_DECREF(seq);
+    if (len < 0)
         return NULL;
-    uint64_t r = rank_of(2 * n, mate);
-    PyMem_Free(mate);
-    return PyLong_FromUnsignedLongLong(r);
+    if (!is_pairing(mate, len, n)) {
+        PyErr_Format(InvalidPairing, NOT_A_PAIRING "%d", n);
+        return NULL;
+    }
+    return PyLong_FromUnsignedLongLong(rank_of(2 * n, mate));
 }
 
 static PyObject *unrank(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
@@ -399,6 +464,119 @@ static PyObject *unrank(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwa
     Py_DECREF(r_int);
     unrank_into(n, (uint64_t)r, mate);
     return int_seq(mate, 2 * n, 0);
+}
+
+/* The buffer obj of expand's argument name, in *view: one contiguous
+ * block of itemsize-byte items and, unless total < 0, writable and of
+ * total items.  Otherwise -1 with pure.py's exception and nothing held. */
+static int store_buffer(PyObject *obj, const char *name, Py_ssize_t itemsize, int n,
+                        long long total, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_STRIDES) < 0)
+        return -1;
+    if (total >= 0 && view->readonly)
+        PyErr_Format(PyExc_TypeError, "%s is read-only", name);
+    else if (view->itemsize != itemsize || !PyBuffer_IsContiguous(view, 'C'))
+        PyErr_Format(PyExc_TypeError, "%s must be one contiguous block of %zd-byte items", name,
+                     itemsize);
+    else if (total >= 0 && view->len / itemsize != total)
+        PyErr_Format(IncompleteDatabase, "%s holds %zd items, B_%d has %lld tangles", name,
+                     view->len / itemsize, n, total);
+    else
+        return 0;
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* pure.expand: every check that bounds a write comes before the first
+ * one, except each parent rank's, which comes as the parent is reached.
+ * uint32 items go through memcpy, since a buffer need not be aligned. */
+static PyObject *expand(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "lengths", "t_counts", "lasts", "parents", "ranks",
+                             "sign", "length", "t", NULL};
+    static const char *names[] = {"lengths", "t_counts", "lasts", "parents", "ranks"};
+    PyObject *n_obj, *n_int = NULL, *buf[5], *arg[3], *num[3] = {NULL, NULL, NULL};
+    PyObject *result = NULL;
+    Py_buffer view[5];
+    Py_ssize_t held = 0, used = 0, room = 0;
+    uint32_t *out = NULL;
+    long n, v[3];
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOOOOOO", kwlist, &n_obj, &buf[0], &buf[1],
+                                     &buf[2], &buf[3], &buf[4], &arg[0], &arg[1], &arg[2]))
+        return NULL;
+    if (read_index(n_obj, &n_int, &n) < 0)
+        return NULL;
+    if (n < 1 || n > MAX_N) {
+        PyErr_Format(ResourceLimit, "B_%S does not fit the store (7 bytes per tangle: 1 <= n <= %d)",
+                     n_int, MAX_N);
+        goto done;
+    }
+    for (int k = 0; k < 3; k++)
+        if (read_index(arg[k], &num[k], &v[k]) < 0)
+            goto done;
+    long sign = v[0], length = v[1], t = v[2];
+    if (sign != 1 && sign != -1) {
+        PyErr_Format(IndexOutOfRange, "sign %S is neither 1 nor -1", num[0]);
+        goto done;
+    }
+    if (t < 0 || t > length || length >= ABSENT) {
+        PyErr_Format(IndexOutOfRange, "length %S and T-count %S need 0 <= t <= length < %d",
+                     num[1], num[2], ABSENT);
+        goto done;
+    }
+    long long total = 1;
+    for (int k = 3; k < 2 * n; k += 2)
+        total *= k;
+    for (; held < 5; held++)
+        if (store_buffer(buf[held], names[held], held < 3 ? 1 : 4, (int)n, held < 4 ? total : -1,
+                         &view[held]) < 0)
+            goto done;
+
+    unsigned char *lengths = view[0].buf, *t_counts = view[1].buf, *lasts = view[2].buf;
+    char *parents = view[3].buf;
+    const char *ranks = view[4].buf;
+    int m = 2 * (int)n, mate[2 * MAX_N], child[2 * MAX_N];
+    for (Py_ssize_t k = 0; k < view[4].len / 4; k++) {
+        uint32_t parent;
+        memcpy(&parent, ranks + 4 * k, 4);
+        if (parent >= total) {
+            PyErr_Format(IndexOutOfRange, "rank %lu outside 0..%lld for n = %ld",
+                         (unsigned long)parent, total - 1, n);
+            goto done;
+        }
+        unrank_into((int)n, parent, mate);
+        for (int i = 1; i < n; i++) {
+            memcpy(child, mate, (size_t)m * sizeof(int));
+            if (!right_multiply(child, (int)n, (int)sign * i))
+                continue;
+            uint32_t r = (uint32_t)rank_of(m, child);
+            if (lengths[r] != ABSENT)
+                continue;
+            lengths[r] = (unsigned char)length;
+            t_counts[r] = (unsigned char)t;
+            lasts[r] = (unsigned char)(sign > 0 ? i : i | 0x80);
+            memcpy(parents + 4 * (size_t)r, &parent, 4);
+            if (used == room) {
+                uint32_t *grown = PyMem_Realloc(out, (size_t)(room = 2 * room + 256) * 4);
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    goto done;
+                }
+                out = grown;
+            }
+            out[used++] = r;
+        }
+    }
+    result = PyBytes_FromStringAndSize((const char *)out, used * 4);
+done:
+    while (held > 0)
+        PyBuffer_Release(&view[--held]);
+    Py_XDECREF(n_int);
+    for (int k = 0; k < 3; k++)
+        Py_XDECREF(num[k]);
+    PyMem_Free(out);
+    return result;
 }
 
 /* Raise the exception for a failed loop, with pure.py's message. */
@@ -475,6 +653,9 @@ done:
 static PyMethodDef methods[] = {
     {"crossing_counts", (PyCFunction)(void (*)(void))crossing_counts, METH_VARARGS | METH_KEYWORDS,
      "Per-position crossing counts: out[p] = crossings of the edge at p."},
+    {"expand", (PyCFunction)(void (*)(void))expand, METH_VARARGS | METH_KEYWORDS,
+     "Commit the children of a level class under the primes of one sign;\n"
+     "returns the committed ranks as the bytes of uint32s."},
     {"factorize_core", (PyCFunction)(void (*)(void))factorize_core, METH_VARARGS | METH_KEYWORDS,
      "Run the incremental factorization loop; returns signed factor codes\n"
      "(+i for T_i, -i for U_i)."},
@@ -500,8 +681,16 @@ PyMODINIT_FUNC PyInit__speedups(void)
     NoViableMerge = PyObject_GetAttrString(errors, "NoViableMerge");
     InternalError = PyObject_GetAttrString(errors, "InternalError");
     ResourceLimit = PyObject_GetAttrString(errors, "ResourceLimit");
+    IncompleteDatabase = PyObject_GetAttrString(errors, "IncompleteDatabase");
     Py_DECREF(errors);
-    if (!InvalidPairing || !IndexOutOfRange || !NoViableMerge || !InternalError || !ResourceLimit)
+    if (!InvalidPairing || !IndexOutOfRange || !NoViableMerge || !InternalError || !ResourceLimit
+        || !IncompleteDatabase)
         return NULL;
-    return PyModule_Create(&module);
+    PyObject *mod = PyModule_Create(&module);
+    if (mod != NULL && (PyModule_AddIntConstant(mod, "MAX_N", MAX_N) < 0
+                        || PyModule_AddIntConstant(mod, "ABSENT", ABSENT) < 0)) {
+        Py_DECREF(mod);
+        return NULL;
+    }
+    return mod;
 }

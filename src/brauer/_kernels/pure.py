@@ -15,6 +15,14 @@ of radix 2j+1, most significant first.  Ranks are 63-bit in C, so both
 twins refuse an n outside 0..17 with ResourceLimit, and a rank outside
 0..(2n-1)!!-1 with IndexOutOfRange.
 
+expand is the inner loop of the oracle's breadth-first search
+(brauer.oracle.bfs_cayley): it right-multiplies each parent of a level by
+the primes of one sign and commits the children not stored yet into the
+caller's flat store.  Since the C twin writes into buffers the caller
+supplies, both twins check, before any write, that each buffer is a
+writable block of (2n-1)!! items of the right size, and check each parent
+rank as they reach it.
+
 factorize_core consumes the index sequence extracted from the bubble-sort
 factorization of the crossing-minimal permutation image.  For each index i
 it either strips a top crossing (compose T_i on top, the two touched edges
@@ -28,8 +36,10 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 
 from brauer.errors import (
+    IncompleteDatabase,
     IndexOutOfRange,
     InternalError,
     InvalidPairing,
@@ -38,6 +48,8 @@ from brauer.errors import (
 )
 
 MAX_RANK_N = 17  # the largest n with (2n-1)!! < 2**63
+MAX_N = 9  # the widest oracle store: 7 bytes per tangle, 241 MB at n = 9, 4.6 GB at n = 10
+ABSENT = 0xFF  # the length byte of a tangle the store does not hold
 
 
 def _checked_pairing(n, pairing):
@@ -100,6 +112,93 @@ def unrank(n, r):
         q = free.pop(k)
         mate[p], mate[q] = q, p
     return mate
+
+
+def right_multiply(pairing, n, v):
+    """Replace the pairing list of X in B_n by that of X . P in place, where
+    P is T_v for v > 0 and U_-v for v < 0 (1 <= |v| <= n-1, unchecked).
+
+    Returns False, leaving the list as it is, when X has the lower hook
+    (i', i+1'), for then X . P == X.
+    """
+    bi = 2 * n - abs(v)  # bottom position of column i
+    bj = bi - 1          # bottom position of column i+1
+    a = pairing[bi]
+    if a == bj:
+        return False
+    b = pairing[bj]
+    if v > 0:
+        pairing[bj], pairing[a] = a, bj
+        pairing[bi], pairing[b] = b, bi
+    else:
+        pairing[a], pairing[b] = b, a
+        pairing[bi], pairing[bj] = bj, bi
+    return True
+
+
+def checked_width(n):
+    """n, or ResourceLimit unless B_n fits the oracle's store."""
+    n = operator.index(n)
+    if not 1 <= n <= MAX_N:
+        raise ResourceLimit(
+            f"B_{n} does not fit the store (7 bytes per tangle: 1 <= n <= {MAX_N})"
+        )
+    return n
+
+
+def _store_view(name, buf, itemsize, n, total=None):
+    """buf as a flat memoryview of unsigned bytes or uint32s.  TypeError
+    unless it is one contiguous block of itemsize-byte items, writable
+    unless total is None; IncompleteDatabase unless it holds total items."""
+    view = memoryview(buf)
+    if total is not None and view.readonly:
+        raise TypeError(f"{name} is read-only")
+    if view.itemsize != itemsize or not view.c_contiguous:
+        raise TypeError(f"{name} must be one contiguous block of {itemsize}-byte items")
+    if total is not None and view.nbytes // itemsize != total:
+        raise IncompleteDatabase(
+            f"{name} holds {view.nbytes // itemsize} items, B_{n} has {total} tangles"
+        )
+    return view.cast("B") if itemsize == 1 else view.cast("B").cast("I")
+
+
+def expand(n, lengths, t_counts, lasts, parents, ranks, sign, length, t):
+    """Expand the parents in ranks, in order, by the primes of one sign
+    (+1: T_1..T_n-1, -1: U_1..U_n-1), in index order, and commit each child
+    whose length byte is ABSENT with (length, t, its last factor, its
+    parent); returns the committed ranks in commit order, as the bytes of
+    uint32s.  A last factor is T_i = i, U_i = i | 0x80.
+
+    lengths, t_counts and lasts are writable buffers of (2n-1)!! bytes,
+    parents one of (2n-1)!! 4-byte items, ranks a buffer of 4-byte items.
+    """
+    n = checked_width(n)
+    sign, length, t = operator.index(sign), operator.index(length), operator.index(t)
+    if sign not in (1, -1):
+        raise IndexOutOfRange(f"sign {sign} is neither 1 nor -1")
+    if not 0 <= t <= length < ABSENT:
+        raise IndexOutOfRange(f"length {length} and T-count {t} need 0 <= t <= length < {ABSENT}")
+    total = math.prod(range(1, 2 * n, 2))
+    lengths, t_counts, lasts = (
+        _store_view(name, buf, 1, n, total)
+        for name, buf in (("lengths", lengths), ("t_counts", t_counts), ("lasts", lasts))
+    )
+    parents = _store_view("parents", parents, 4, n, total)
+    ranks = _store_view("ranks", ranks, 4, n)
+    steps = [(sign * i, i if sign > 0 else i | 0x80) for i in range(1, n)]
+    group = array("I")
+    for parent in ranks:
+        pairing = unrank(n, parent)
+        for v, last in steps:
+            child = pairing.copy()
+            if not right_multiply(child, n, v):
+                continue
+            r = rank(n, child)
+            if lengths[r] != ABSENT:
+                continue
+            lengths[r], t_counts[r], lasts[r], parents[r] = length, t, last, parent
+            group.append(r)
+    return group.tobytes()
 
 
 def crossing_counts(n, pairing):

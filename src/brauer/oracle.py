@@ -7,7 +7,12 @@ T-prime count of their stored word, and all U-prime edges of a count class
 are relaxed before the T-prime edges of the class below it; the first word
 recorded for a tangle therefore also has the fewest T-primes among its
 minimal words.  The expansion commits in a fixed order, so the database
-(and its text dump) is reproducible bit for bit.
+(and its text dump) is reproducible bit for bit.  bfs_cayley holds that
+order, the level loop over T-count classes with U-edges before T-edges;
+the inner loop over one class and one sign is the kernel entry
+brauer._kernels.expand, which unranks each parent, right-multiplies a copy
+by each prime of the sign in index order and commits every child not
+stored yet, in C when the extension is built and in pure.py otherwise.
 
 The store is dense: four flat arrays indexed by the rank of a pairing
 (brauer._kernels.rank, the mixed radix (2n-1)(2n-3)...1 in which the first
@@ -45,7 +50,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, TextIO
 
-from ._kernels import crossing_counts, rank, unrank
+from ._kernels import crossing_counts, expand, rank, unrank
+from ._kernels.pure import ABSENT, MAX_N, checked_width  # noqa: F401 (oracle.MAX_N)
 from .errors import IncompleteDatabase, ParseError, ResourceLimit
 from .tangle import (
     Tangle,
@@ -60,20 +66,10 @@ from .tangle import (
     right_multiply,
 )
 
-MAX_N = 9  # the store is allocated up front: 241 MB at n = 9, 4.6 GB at n = 10
-ABSENT = 0xFF  # the length byte of a tangle the store does not hold
-
 
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! = |B_n|."""
     return math.prod(range(1, 2 * n, 2))
-
-
-def _check_width(n: int) -> None:
-    if not 1 <= n <= MAX_N:
-        raise ResourceLimit(
-            f"B_{n} does not fit the store (7 bytes per tangle: 1 <= n <= {MAX_N})"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +107,7 @@ class MinimalDatabase:
     parents: array = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_width(self.n)
+        checked_width(self.n)
         total = double_factorial_odd(self.n)
         held = sorted({len(a) for a in (self.lengths, self.t_counts, self.lasts, self.parents)})
         if held != [total]:
@@ -184,7 +180,7 @@ def bfs_cayley(
     level_size, total_so_far) as each level is complete, from the
     identity's level 0 to the longest.
     """
-    _check_width(n)
+    checked_width(n)
     total = double_factorial_odd(n)
     if max_entries is not None and total > max_entries:
         raise ResourceLimit(f"B_{n} has {total} tangles, more than the cap of {max_entries}")
@@ -193,6 +189,7 @@ def bfs_cayley(
     lengths[ident], parents[ident] = 0, ident
     # The level being expanded, grouped by T-count in commit order.
     groups: dict[int, array] = {0: array("I", [ident])}
+    none = array("I")
     length, reached = 0, 1
     while groups:
         if progress is not None:
@@ -203,19 +200,8 @@ def bfs_cayley(
             # Children of U-edges from class t and of T-edges from class
             # t - 1 both have T-count t.
             group = next_groups[t] = array("I")
-            for sign, ranks in ((-1, groups.get(t, ())), (1, groups.get(t - 1, ()))):
-                steps = [(sign * i, _to_byte(sign * i)) for i in range(1, n)]
-                for parent in ranks:
-                    pairing = unrank(n, parent)
-                    for v, last in steps:
-                        child = pairing.copy()
-                        if not right_multiply(child, n, v):
-                            continue
-                        r = rank(n, child)
-                        if lengths[r] != ABSENT:
-                            continue
-                        lengths[r], t_counts[r], lasts[r], parents[r] = length, t, last, parent
-                        group.append(r)
+            for sign, ranks in ((-1, groups.get(t, none)), (1, groups.get(t - 1, none))):
+                group.frombytes(expand(n, lengths, t_counts, lasts, parents, ranks, sign, length, t))
             reached += len(group)
         groups = {t: group for t, group in next_groups.items() if group}
     return MinimalDatabase(n, lengths, t_counts, lasts, parents)
@@ -346,7 +332,7 @@ def load_database(fh: TextIO) -> MinimalDatabase:
             raise ParseError(f"bad database line {line!r}")
         x = parse_tangle(parts[0])
         if n is None:
-            _check_width(x.n)
+            checked_width(x.n)
             n = x.n
             lengths, t_counts, lasts, parents = _empty_store(double_factorial_odd(n))
             held = bytearray(len(lengths))  # 1 where a line named the tangle

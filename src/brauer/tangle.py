@@ -26,10 +26,11 @@ Words are sequences of the prime generators T_i (adjacent crossing) and
 U_i (adjacent cup/cap); the first factor of a word is the topmost factor
 of the composition.  A Word is a tuple of signed ints, +i for T_i and -i
 for U_i; only parse_word and format_word see the "T3 U1" text.  Every
-product with a word is a fold of right_multiply, which turns the pairing
-list of X into that of X . P in place in O(1).  All values here are
-immutable and all other operations are pure functions, so everything is
-safe to share between threads.
+product with a word is a fold of right_multiply (kept beside the kernels,
+in brauer._kernels.pure), which turns the pairing list of X into that of
+X . P in place in O(1).  All values here are immutable and all other
+operations are pure functions, so everything is safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from ._kernels import crossing_counts
-from ._kernels.pure import _ranked_reps, merge_targets
+from ._kernels.pure import _ranked_reps, merge_targets, right_multiply
 from .errors import (
     DuplicateNode,
     EdgeNotInTangle,
@@ -359,28 +360,6 @@ def compose(x: Tangle, y: Tangle) -> Tangle:
                 side, pos = 0, 2 * n - (q + 1)      # y-top i -> x-bottom i'
         out[start], out[end] = end, start
     return Tangle(n, tuple(out))
-
-
-def right_multiply(pairing: list[int], n: int, v: int) -> bool:
-    """Replace the pairing list of X in B_n by that of X . P in place, where
-    P is T_v for v > 0 and U_-v for v < 0 (1 <= |v| <= n-1, unchecked).
-
-    Returns False, leaving the list as it is, when X has the lower hook
-    (i', i+1'), for then X . P == X.
-    """
-    bi = 2 * n - abs(v)  # bottom position of column i
-    bj = bi - 1          # bottom position of column i+1
-    a = pairing[bi]
-    if a == bj:
-        return False
-    b = pairing[bj]
-    if v > 0:
-        pairing[bj], pairing[a] = a, bj
-        pairing[bi], pairing[b] = b, bi
-    else:
-        pairing[a], pairing[b] = b, a
-        pairing[bi], pairing[bj] = bj, bi
-    return True
 
 
 def compose_word(w: Word) -> Tangle:

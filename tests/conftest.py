@@ -1,5 +1,6 @@
 """Shared helpers: an independent matching enumerator, database fixtures,
-the C kernel built from source and a kernel-outcome comparator.
+the C kernel built from source, a kernel-outcome comparator and a search
+with a chosen expand twin.
 
 all_tangles enumerates perfect matchings directly (pair the first free
 position with every other free position, recurse), so database-completeness
@@ -18,6 +19,7 @@ from typing import Iterator
 import pytest
 
 import brauer
+from brauer import oracle
 from brauer.errors import BrauerError
 from brauer.oracle import MinimalDatabase, cached_database
 from brauer.tangle import Tangle
@@ -51,6 +53,17 @@ def outcome(fn, *args):
         return fn(*args)
     except BrauerError as exc:
         return type(exc), str(exc)
+
+
+def store_bytes(store: MinimalDatabase) -> tuple[bytes, ...]:
+    return tuple(bytes(a) for a in (store.lengths, store.t_counts, store.lasts, store.parents))
+
+
+def twin_store(monkeypatch, expand, n: int) -> tuple[bytes, ...]:
+    """The four arrays of bfs_cayley(n), searched with the given expand."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "expand", expand)
+        return store_bytes(oracle.bfs_cayley(n))
 
 
 @pytest.fixture(scope="session")

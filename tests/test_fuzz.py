@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
+from array import array
 from unittest import mock
 
 from hypothesis import given, settings
@@ -68,6 +70,63 @@ def test_rank_twins_agree_on_raw_input(speedups, case, r):
     n, values = case
     for fn, args in (("rank", (n, values)), ("unrank", (n, r))):
         assert outcome(getattr(pure, fn), *args) == outcome(getattr(speedups, fn), *args)
+
+
+def _buffer(kind, values):
+    if kind == "list":
+        return list(values)
+    if kind == "I":
+        return array("I", [v % 2**32 for v in values])
+    return (bytes if kind == "bytes" else bytearray)(v % 256 for v in values)
+
+
+@st.composite
+def expand_args(draw):
+    """(n, buffer specs, sign, length, t): an unreached store of B_n with a
+    few entries set and parent ranks in 0..(2n-1)!!-1, with one argument
+    wrong in about half the cases."""
+    fault = draw(st.sampled_from([None] * 5 + ["n", "rank", "sign", "length", "buffer", "buffer"]))
+    n = draw(st.sampled_from([-1, 0, 10, 10**30]) if fault == "n" else st.integers(1, 4))
+    total = math.prod(range(1, 2 * n, 2)) if 0 < n < 10 else 1  # others are refused first
+    specs = [["B", total, pure.ABSENT], ["B", total, 0], ["B", total, 0], ["I", total, 0]]
+    if fault == "buffer":
+        spoilt = specs[draw(st.integers(0, 3))]
+        spoilt[0] = draw(st.sampled_from(["B", "I", "bytes", "list"]))
+        spoilt[1] = draw(st.sampled_from([0, total - 1, total, total + 1]))
+    specs = [(kind, [fill] * size) for kind, size, fill in specs]
+    for _ in range(draw(st.integers(0, 3))):
+        values = specs[draw(st.integers(0, 3))][1]
+        if values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([0, 1, 2**32 - 1]))
+    ranks = draw(st.lists(st.integers(0, total - 1), max_size=6))
+    if fault == "rank":  # after the others, so some children are committed first
+        ranks.append(draw(st.sampled_from([total, 2**32 - 1, -1, 2**40])))
+    kind = draw(st.sampled_from(["B", "bytes", "list"]) if fault == "buffer" else st.just("I"))
+    specs.append((kind, ranks))
+    sign = draw(st.sampled_from([0, 2, -2, 10**30] if fault == "sign" else [1, -1]))
+    length = draw(st.integers(1, 3))
+    t = draw(st.integers(0, length))
+    if fault == "length":
+        length, t = draw(st.sampled_from([(255, 0), (1, 2), (1, -1), (-1, -1), (10**30, 0)]))
+    return n, specs, sign, length, t
+
+
+@FUZZ
+@given(expand_args())
+def test_expand_twins_agree_on_raw_input(speedups, case):
+    n, specs, sign, length, t = case
+
+    def run(twin):
+        buffers = [_buffer(kind, values) for kind, values in specs]
+        try:
+            result = twin.expand(n, *buffers, sign, length, t)
+        except BrauerError as exc:
+            result = type(exc), str(exc)
+        except TypeError:  # Python's own messages differ between the twins
+            result = TypeError
+        return result, [b if isinstance(b, list) else bytes(b) for b in buffers]
+
+    assert run(pure) == run(speedups)
 
 
 words = st.text(max_size=24) | st.lists(

@@ -10,16 +10,18 @@ import random
 import shutil
 import subprocess
 import sysconfig
+from array import array
 from pathlib import Path
 
 import pytest
 
-from conftest import all_pairings, outcome
+from conftest import all_pairings, outcome, store_bytes, twin_store
 
 import brauer
 from brauer._kernels import pure
 from brauer.errors import (
     BrauerError,
+    IncompleteDatabase,
     IndexOutOfRange,
     InternalError,
     InvalidPairing,
@@ -225,3 +227,75 @@ def test_rank_non_integers_raise_type_error(kernel):
     for fn, args in cases:
         with pytest.raises(TypeError):
             getattr(kernel, fn)(*args)
+
+
+def test_store_constants_agree(speedups):
+    assert (speedups.MAX_N, speedups.ABSENT) == (pure.MAX_N, pure.ABSENT)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_expand_twins_build_equal_stores(speedups, monkeypatch, db, n):
+    # db was searched by the installed backend's twin; search with the other.
+    other = speedups if brauer._kernels.expand is pure.expand else pure
+    assert twin_store(monkeypatch, other.expand, n) == store_bytes(db[n])
+
+
+def _store(n, lengths=None, t_counts=None, lasts=None, parents=None, ranks=(0,)):
+    """expand's buffer arguments for B_n: an empty store and the given
+    ranks, each replaced where an argument is given."""
+    total = math.prod(range(1, 2 * n, 2))
+    return (
+        bytearray([pure.ABSENT]) * total if lengths is None else lengths,
+        bytearray(total) if t_counts is None else t_counts,
+        bytearray(total) if lasts is None else lasts,
+        array("I", [0]) * total if parents is None else parents,
+        array("I", ranks),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, buffers, sign, length, t, error",
+    [
+        (3, _store(3, lengths=bytearray(14)), 1, 1, 0, IncompleteDatabase),
+        (3, _store(3, t_counts=bytearray(16)), 1, 1, 0, IncompleteDatabase),
+        (3, _store(3, parents=array("I", [0]) * 14), 1, 1, 0, IncompleteDatabase),
+        (3, _store(3, lasts=bytes(15)), 1, 1, 0, TypeError),  # read-only
+        (3, _store(3, parents=bytearray(60)), 1, 1, 0, TypeError),  # itemsize 1
+        (3, _store(3, parents=array("Q", [0]) * 15), 1, 1, 0, TypeError),  # itemsize 8
+        (3, _store(3)[:4] + (bytearray(4),), 1, 1, 0, TypeError),  # ranks of itemsize 1
+        (3, _store(3)[:4] + (memoryview(array("I", [0, 0, 0]))[::2],), 1, 1, 0, TypeError),
+        (3, _store(3, ranks=[15]), 1, 1, 0, IndexOutOfRange),  # B_3 has ranks 0..14
+        (3, _store(3, ranks=[0, 2**32 - 1]), -1, 1, 0, IndexOutOfRange),
+        (0, _store(1), 1, 1, 0, ResourceLimit),
+        (10, _store(1), 1, 1, 0, ResourceLimit),
+        (-(10**30), _store(1), 1, 1, 0, ResourceLimit),
+        (3, _store(3), 0, 1, 0, IndexOutOfRange),
+        (3, _store(3), 2, 1, 0, IndexOutOfRange),
+        (3, _store(3), 10**30, 1, 0, IndexOutOfRange),
+        (3, _store(3), 1, 255, 0, IndexOutOfRange),
+        (3, _store(3), 1, 1, 2, IndexOutOfRange),
+        (3, _store(3), 1, 1, -1, IndexOutOfRange),
+    ],
+)
+def test_expand_errors_agree(speedups, n, buffers, sign, length, t, error):
+    def run(twin):
+        args = [bytearray(b) if isinstance(b, bytearray) else b for b in buffers]
+        args = [array(b.typecode, b) if isinstance(b, array) else b for b in args]
+        try:
+            twin.expand(n, *args, sign, length, t)
+        except (BrauerError, TypeError) as exc:
+            return type(exc), str(exc), [bytes(b) for b in args]
+        return None
+
+    expected = run(pure)
+    assert expected is not None and expected[0] is error
+    assert run(speedups) == expected
+
+
+def test_expand_non_integers_raise_type_error(kernel):
+    for k in range(4):
+        numbers = [3, 1, 1, 0]
+        numbers[k] = 1.0
+        n, sign, length, t = numbers
+        with pytest.raises(TypeError):
+            kernel.expand(n, *_store(3), sign, length, t)

@@ -9,8 +9,10 @@ from array import array
 
 import pytest
 
-from conftest import all_tangles
+from conftest import all_tangles, twin_store
 
+from brauer import oracle
+from brauer._kernels import pure
 from brauer.errors import IncompleteDatabase, ParseError, ResourceLimit
 from brauer.oracle import (
     ABSENT,
@@ -49,6 +51,15 @@ TABLE_LENGTHS = {
 }
 
 TABLE_MAX_MERGES = {2: (1, 1), 3: (1, 6), 4: (2, 2), 5: (2, 46), 6: (3, 18)}
+
+# Not published: this repository's own computation (the search with the C
+# twin; ROADMAP, Baseline).  The paper's tables stop at n = 6.
+COMPUTED_LENGTHS_8 = {
+    0: 1, 1: 14, 2: 108, 3: 572, 4: 2294, 5: 7266, 6: 18746, 7: 40166, 8: 73278,
+    9: 116996, 10: 166400, 11: 212250, 12: 244730, 13: 255188, 14: 240828,
+    15: 207968, 16: 161844, 17: 113490, 18: 73978, 19: 44336, 20: 24354,
+    21: 12462, 22: 5848, 23: 2502, 24: 972, 25: 324, 26: 90, 27: 18, 28: 2,
+}
 
 
 class TestBfs:
@@ -111,6 +122,24 @@ class TestBfs:
             assert len(w) == entry.length
             assert compose_word(w) == x
             assert w.t_count() == entry.t_count
+
+
+class TestSearchTwins:
+    @pytest.mark.slow
+    def test_b7_twins_build_equal_stores(self, speedups, monkeypatch):
+        assert twin_store(monkeypatch, pure.expand, 7) == twin_store(
+            monkeypatch, speedups.expand, 7
+        )
+
+    @pytest.mark.slow
+    def test_b8_computed_values(self, speedups, monkeypatch):
+        for name in ("expand", "unrank", "crossing_counts"):
+            monkeypatch.setattr(oracle, name, getattr(speedups, name))
+        db = bfs_cayley(8)
+        assert length_table(db) == COMPUTED_LENGTHS_8
+        report = check_assumption2(db)
+        assert report.tested == 2_027_025
+        assert report.counterexamples == ()
 
 
 class TestLengthTable:
