@@ -1,11 +1,12 @@
 """Minimal-word factorization for the Brauer monoid B_N.
 
 The package factorizes any tangle into a shortest word over the adjacent
-crossing and cup/cap generators in O(N^4) time, carries the quadratic-time
-length functions and the permutation projection this rests on, dedicated
-factorizers for the symmetric and planar submonoids, an exhaustive
-Cayley-graph oracle for small N, and the generator axioms as a rewriting
-system.  See the README for the CLI.
+crossing and cup/cap generators in O(N^4) time, or O(N^3 log N) for the
+word with the fewest crossing generators (factorize(min_t=True)).  It
+carries the quadratic-time length functions and the permutation projection
+this rests on, dedicated factorizers for the symmetric and planar
+submonoids, an exhaustive Cayley-graph oracle for small N, and the
+generator axioms as a rewriting system.  See the README for the CLI.
 """
 
 from ._kernels import BACKEND

@@ -10,6 +10,16 @@
  * objects.  merge_scan replaces pure.py's three crossing tests per edge by
  * three tests of which of p, q and the hook lie inside it; the counts are
  * the same.  Keep the two in sync.
+ *
+ * Under min_t every merge candidate of a U-step is scored from arrays
+ * built once per step (min_t_choice), not by one merge_scan each.  An edge
+ * that grows gains w = max(tc+2, sz) - max(tc, sz) in doubled length, and
+ * it grows iff A = B != H for A, B, H its containment of p, q and the hook.
+ * Since [A = B != H] = ([A != H] + [B != H] - [A != B]) / 2, the weight
+ * grown is (W_p + W_q - X) / 2: W_x, the weight of the edges separating x
+ * from the hook, comes from prefix sums anchored at the hook, and X, the
+ * weight of the edges crossing (p,q), from one Fenwick sweep.  That makes
+ * a U-step O(N log N) and --min-t O(N^3 log N).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -115,8 +125,10 @@ static inline int right_multiply(int *mate, int n, int v)
 }
 
 /* The replacement edges (t[0],t[1]) and (t[2],t[3]) for merging the hook
- * (hi,hi+1) with the edge (p,q), p < q; 0 when the merge is undefined. */
-static int merge_targets(int n, int hi, int p, int q, int *t)
+ * (hi,hi+1) with the edge (p,q), p < q; 0 when the merge is undefined.
+ * Always inlined: the default walk calls it for each edge it passes, and
+ * a call there made nested hooks 5% slower. */
+static inline __attribute__((always_inline)) int merge_targets(int n, int hi, int p, int q, int *t)
 {
     int hj = hi + 1, x = p + 1, y = 2 * n - q, before, ok;
     if (q < n) {                /* upper hook (p+1, q+1) */
@@ -147,12 +159,12 @@ static int merge_targets(int n, int hi, int p, int q, int *t)
  * edge iff it separates that edge's end p or q from the hook, and its own
  * count grows by 2 or not at all.  c[0], c[1] get the new edges' counts.
  * With apply, tc is updated; otherwise the return value is twice the
- * walked edges' new length and *tot their new crossing total. */
+ * walked edges' new length. */
 static inline long merge_scan(int m, const int *mate, int *tc, const int *sz, int hi,
-                              int p, int q, const int *t, int apply, int *c, long *tot)
+                              int p, int q, const int *t, int apply, int *c)
 {
     int cross_p = 0, cross_q = 0;
-    long l2 = 0, sum = 0;
+    long l2 = 0;
     for (int r = 0; r < m; r++) {
         int s = mate[r];
         if (s < r || r == hi || r == p)
@@ -166,20 +178,135 @@ static inline long merge_scan(int m, const int *mate, int *tc, const int *sz, in
             tc[s] += grow;
         } else {
             l2 += max_int(tc[r] + grow, sz[r]);
-            sum += tc[r] + grow;
         }
     }
     c[0] = t[0] == p ? cross_p : cross_q;
     c[1] = t[0] == p ? cross_q : cross_p;
-    *tot = sum;
     return l2;
+}
+
+/* The sum of f[1..pos], the Fenwick tree's total over positions 0..pos-1. */
+static inline long fenwick_sum(const long *f, int pos)
+{
+    long s = 0;
+    for (; pos > 0; pos &= pos - 1)
+        s += f[pos];
+    return s;
+}
+
+/* The doubled length that the edge at y gains if its count grows by 2. */
+static inline long weight(const int *tc, const int *sz, int y)
+{
+    return max_int(tc[y] + 2, sz[y]) - max_int(tc[y], sz[y]);
+}
+
+/* The weight and the number of the edges, other than the hook and (x,y),
+ * that separate x from the hook: those with one end in the open interval
+ * [lo, up) between x and the hook, where y may lie.  nest_w[x], nest_c[x]
+ * hold the weight and number of the edges with both ends there. */
+static inline void separating(int x, int y, int hi, const int *tc, const int *sz,
+                              const long *pre, const long *nest_w, const long *nest_c,
+                              long *wsep, long *csep)
+{
+    int lo = x < hi ? x + 1 : hi + 2, up = x < hi ? hi : x, y_in = lo <= y && y < up;
+    *wsep = pre[up] - pre[lo] - 2 * nest_w[x] - (y_in ? weight(tc, sz, y) : 0);
+    *csep = up - lo - 2 * nest_c[x] - y_in;
+}
+
+/* min_t's merge at the hook (hi,hi+1), scored for every candidate in
+ * ranked[0..nrank-1] at once (see the header): the first candidate in that
+ * order whose merge drops the doubled length l2 by 2 and leaves a crossing
+ * total below every earlier one's.  Returns 0 when there is none, else 1
+ * with its p in *p_out and its targets in ch.  ranked keeps the candidates
+ * only; scratch holds 6m+2 longs. */
+static int min_t_choice(int n, const int *mate, const int *tc, const int *sz, int hi,
+                        int *ranked, int nrank, long l2, long *scratch, int *p_out, int *ch)
+{
+    int m = 2 * n, t[4], found = 0, ncand = 0, nright = 0, lo = m, up = 0;
+    long *pre = scratch, *nest_w = pre + m + 1, *nest_c = nest_w + m, *fen = nest_c + m;
+    long *cross = fen + m + 1, *rights = cross + m, total = 0, best = 0, nw = 0, nc = 0, sum = 0;
+    for (int k = 0; k < nrank; k++) {
+        int p = ranked[k];
+        if (p != hi && tc[p] < sz[p] && merge_targets(n, hi, p, mate[p], t)) {
+            ranked[ncand++] = p;
+            lo = p < lo ? p : lo;
+            up = mate[p] > up ? mate[p] : up;
+        }
+    }
+    if (ncand == 0)
+        return 0;
+    /* The prefix sums of the weights; the edges nested between x > hi+1 and
+     * the hook, as x moves away from it (none before), then those for
+     * x < hi; the right ends of the edges inside [lo, up], the only edges
+     * that can lie inside a candidate. */
+    pre[0] = 0;
+    for (int y = 0; y < m; y++) {
+        int z = mate[y], nested = z < y && z > hi + 1;
+        long wy = weight(tc, sz, y);
+        pre[y + 1] = sum += wy;
+        total += z > y ? tc[y] : 0;
+        nest_w[y] = nw;
+        nest_c[y] = nc;
+        nw += nested ? wy : 0;
+        nc += nested;
+        cross[y] = -1;          /* not a candidate */
+        rights[nright] = y;
+        nright += z < y && z >= lo && y <= up;
+    }
+    nw = nc = 0;
+    for (int x = hi - 1; x >= 0; x--) {
+        nest_w[x] = nw;
+        nest_c[x] = nc;
+        if (mate[x] > x && mate[x] < hi) {
+            nw += weight(tc, sz, x);
+            nc++;
+        }
+    }
+    for (int k = 0; k < ncand; k++)
+        cross[ranked[k]] = 0;
+    /* At each right end s, the edges closed so far with a left end inside
+     * (r,s) are the edges nested in it; cross[r] becomes the weight of the
+     * edges crossing (r,s), with the hook's two terms cancelling.  fen is
+     * never read past up. */
+    memset(fen, 0, (size_t)(up + 1) * sizeof(long));
+    for (int k = 0; k < nright; k++) {
+        int s = (int)rights[k], r = mate[s];
+        if (cross[r] == 0)
+            cross[r] = pre[s] - pre[r + 1] - 2 * (fenwick_sum(fen, s) - fenwick_sum(fen, r + 1));
+        long wr = weight(tc, sz, r);
+        for (int j = r + 1; wr && j <= up; j += j & -j)
+            fen[j] += wr;
+    }
+    for (int k = 0; k < ncand; k++) {
+        int p = ranked[k], q = mate[p];
+        merge_targets(n, hi, p, q, t);
+        long wp, cp, wq, cq;
+        separating(p, q, hi, tc, sz, pre, nest_w, nest_c, &wp, &cp);
+        separating(q, p, hi, tc, sz, pre, nest_w, nest_c, &wq, &cq);
+        long c1 = t[0] == p ? cp : cq, c2 = t[0] == p ? cq : cp;
+        long s1 = size_of(n, t[0], t[1]), s2 = size_of(n, t[2], t[3]);
+        /* The hook and (p,q) go; the weight grown and the two new edges
+         * come.  The total counts tc[p] edges crossing (p,q), which holds
+         * while the table is exact. */
+        long l2p = l2 - max_int(tc[hi], sz[hi]) - max_int(tc[p], sz[p])
+                   + (wp + wq - cross[p]) / 2 + (c1 > s1 ? c1 : s1) + (c2 > s2 ? c2 : s2);
+        long tot = total - 2 * tc[p] + 2 * (cp + cq);
+        if (l2p == l2 - 2 && (!found || tot < best)) {
+            found = 1;
+            best = tot;
+            *p_out = p;
+            memcpy(ch, t, sizeof t);
+        }
+    }
+    return found;
 }
 
 /* Run the loop over idx[0..steps-1] from the tangle in mate, writing +i
  * (T_i) or -i (U_i) to out[step].  tc, sz, ranked and fresh are scratch
- * arrays of 2n ints.  On failure at[0] is the step, at[1] the position. */
+ * arrays of 2n ints; sweep is min_t_choice's scratch under min_t and NULL
+ * otherwise.  On failure at[0] is the step, at[1] the position. */
 static enum status factorize_loop(int n, int *mate, const int *idx, int steps,
-                                  int min_t, int debug, int *tc, int *sz,
+                                  long *sweep, int debug, int *tc, int *sz,
                                   int *ranked, int *fresh, int *out, int *at)
 {
     int m = 2 * n;
@@ -208,32 +335,25 @@ static enum status factorize_loop(int n, int *mate, const int *idx, int steps,
                     ranked[nrank++] = mate[q];
             }
 
-            int found = 0, p = 0, q = 0, t[4], ch[4], c[2];
-            long best = 0, tot;
-            for (int k = 0; k < nrank; k++) {
-                int cp = ranked[k], cq = mate[cp];
-                if (cp == hi || tc[cp] >= sz[cp] || !merge_targets(n, hi, cp, cq, t))
-                    continue;
-                long l2p = merge_scan(m, mate, tc, sz, hi, cp, cq, t, 0, c, &tot)
-                           + max_int(c[0], size_of(n, t[0], t[1]))
-                           + max_int(c[1], size_of(n, t[2], t[3]));
-                if (l2p != l2 - 2)
-                    continue;
-                tot += c[0] + c[1];
-                if (!found || tot < best) {
-                    found = 1;
-                    best = tot;
-                    p = cp;
-                    q = cq;
-                    memcpy(ch, t, sizeof t);
+            int found = 0, p = 0, ch[4], c[2];
+            if (sweep != NULL) {
+                found = min_t_choice(n, mate, tc, sz, hi, ranked, nrank, l2, sweep, &p, ch);
+            } else {
+                /* The first candidate whose merge drops the length by one. */
+                for (int k = 0; k < nrank && !found; k++) {
+                    p = ranked[k];
+                    if (p == hi || tc[p] >= sz[p] || !merge_targets(n, hi, p, mate[p], ch))
+                        continue;
+                    long l2p = merge_scan(m, mate, tc, sz, hi, p, mate[p], ch, 0, c)
+                               + max_int(c[0], size_of(n, ch[0], ch[1]))
+                               + max_int(c[1], size_of(n, ch[2], ch[3]));
+                    found = l2p == l2 - 2;
                 }
-                if (!min_t)
-                    break;
             }
             if (!found)
                 return NO_MERGE;
 
-            merge_scan(m, mate, tc, sz, hi, p, q, ch, 1, c, &tot);
+            merge_scan(m, mate, tc, sz, hi, p, mate[p], ch, 1, c);
             mate[ch[0]] = ch[1];
             mate[ch[1]] = ch[0];
             mate[ch[2]] = ch[3];
@@ -612,6 +732,7 @@ static PyObject *factorize_core(PyObject *Py_UNUSED(self), PyObject *args, PyObj
     static char *kwlist[] = {"n", "pairing", "indices", "min_t", "debug", NULL};
     PyObject *n_obj, *pairing, *indices, *items = NULL, *result = NULL;
     int n, min_t = 0, debug = 0, *idx = NULL, *work = NULL, at[2] = {0, 0};
+    long *sweep = NULL;
     Py_ssize_t steps = 0;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|pp", kwlist, &n_obj, &pairing,
                                      &indices, &min_t, &debug))
@@ -631,12 +752,13 @@ static PyObject *factorize_core(PyObject *Py_UNUSED(self), PyObject *args, PyObj
             Py_XDECREF(v);
             goto done;
         }
-    if (steps > INT_MAX || (work = PyMem_Malloc(((size_t)4 * m + (size_t)steps + 1) * sizeof(int))) == NULL) {
+    if (steps > INT_MAX || (work = PyMem_Malloc(((size_t)4 * m + (size_t)steps + 1) * sizeof(int))) == NULL
+        || (min_t && (sweep = PyMem_Malloc(((size_t)6 * m + 2) * sizeof(long))) == NULL)) {
         PyErr_NoMemory();
         goto done;
     }
     int *tc = work, *sz = tc + m, *ranked = sz + m, *fresh = ranked + m, *out = fresh + m;
-    enum status st = factorize_loop(n, mate, idx, (int)steps, min_t, debug, tc, sz, ranked,
+    enum status st = factorize_loop(n, mate, idx, (int)steps, sweep, debug, tc, sz, ranked,
                                     fresh, out, at);
     if (st == DONE)
         result = int_seq(out, (int)steps, 0);
@@ -647,6 +769,7 @@ done:
     PyMem_Free(mate);
     PyMem_Free(idx);
     PyMem_Free(work);
+    PyMem_Free(sweep);
     return result;
 }
 

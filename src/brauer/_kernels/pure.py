@@ -29,7 +29,18 @@ it either strips a top crossing (compose T_i on top, the two touched edges
 each lose one crossing) or, when (i, i+1) is an upper hook, merges the hook
 with the first candidate edge whose merge drops the half-sum length by
 exactly one, maintaining the per-edge crossing table incrementally so the
-length test is linear per candidate.
+length test is linear per candidate (_scan).
+
+With min_t the merge is the first such candidate with the least crossing
+total, and _sweep scores every candidate of the U-step at once.  A merge
+adds 2 to another edge's count or nothing, so an edge that grows gains
+w = max(tc+2, sz) - max(tc, sz) in doubled length.  It grows iff A = B != H
+for A, B, H its containment of p, q and the hook, and since
+[A = B != H] = ([A != H] + [B != H] - [A != B]) / 2 the weight grown is
+(W_p + W_q - X) / 2.  W_x, the weight of the edges separating x from the
+hook, comes from prefix sums anchored at the hook; X, the weight of the
+edges crossing (p, q), from one Fenwick sweep over the right ends.  A
+U-step then costs O(N log N) rather than O(N) per candidate.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from itertools import accumulate
 
 from brauer.errors import (
     IncompleteDatabase,
@@ -267,6 +279,119 @@ def _ranked_reps(n, mate):
     return out
 
 
+def _candidates(n, mate, tc, sz, hi):
+    """The merges of the hook (hi, hi+1) to test, in canonical order, as
+    (p, q, a1, b1, a2, b2): the edge (p, q) and its replacement edges."""
+    for p in _ranked_reps(n, mate):
+        q = mate[p]
+        if p == hi or tc[p] >= sz[p]:
+            continue
+        tgt = merge_targets(n, hi, hi + 1, p, q)
+        if tgt is not None:
+            yield (p, q, *tgt)
+
+
+def _scan(n, mate, tc, sz, col, hi, cand):
+    """(twice the length, the crossing total) of the tangle after the merge
+    cand, by one walk over the other edges."""
+    p, q, a1, b1, a2, b2 = cand
+    s1 = abs(col[a1] - col[b1])
+    s2 = abs(col[a2] - col[b2])
+    c1 = c2 = 0
+    l2p = 0
+    tot = 0
+    for r in range(2 * n):
+        s = mate[r]
+        if s < r or r == hi or r == p:
+            continue
+        t_new = tc[r]
+        if _cross(r, s, p, q):
+            t_new -= 1
+        if _cross(r, s, a1, b1):
+            t_new += 1
+            c1 += 1
+        if _cross(r, s, a2, b2):
+            t_new += 1
+            c2 += 1
+        szr = sz[r]
+        l2p += t_new if t_new > szr else szr
+        tot += t_new
+    l2p += (c1 if c1 > s1 else s1) + (c2 if c2 > s2 else s2)
+    return l2p, tot + c1 + c2
+
+
+def _sweep(n, mate, tc, sz, col, hi, cands, l2):
+    """_scan's pair for every candidate in cands, the total as long as the
+    table is exact, from arrays built once (see the module docstring); l2
+    is twice the current length."""
+    m = 2 * n
+    w = [max(t + 2, s) - max(t, s) for t, s in zip(tc, sz)]
+    pre = [0, *accumulate(w)]
+    total = sum(tc[p] for p in range(m) if mate[p] > p)
+    # The weight and number of the edges nested between x and the hook.
+    nest = [(0, 0)] * m
+    nw = nc = 0
+    for x in range(hi - 1, -1, -1):
+        nest[x] = nw, nc
+        if x < mate[x] < hi:
+            nw += w[x]
+            nc += 1
+    nw = nc = 0
+    for x in range(hi + 2, m):
+        nest[x] = nw, nc
+        if hi + 1 < mate[x] < x:
+            nw += w[x]
+            nc += 1
+
+    def separating(x, y):
+        # The edges other than the hook and (x, y) with one end strictly
+        # between x and the hook, where y may lie: weight and number.
+        lo, up = (x + 1, hi) if x < hi else (hi + 2, x)
+        y_in = lo <= y < up
+        return (
+            pre[up] - pre[lo] - 2 * nest[x][0] - (w[y] if y_in else 0),
+            up - lo - 2 * nest[x][1] - y_in,
+        )
+
+    # At each right end s, the edges closed so far with a left end inside
+    # (r, s) are those nested in it; the hook's two terms cancel.
+    lefts = {cand[0] for cand in cands}
+    cross = {}
+    fen = [0] * (m + 1)
+    for s in range(m):
+        r = mate[s]
+        if r > s:
+            continue
+        if r in lefts:
+            inner = 0
+            k = s
+            while k:
+                inner += fen[k]
+                k &= k - 1
+            k = r + 1
+            while k:
+                inner -= fen[k]
+                k &= k - 1
+            cross[r] = pre[s] - pre[r + 1] - 2 * inner
+        k = r + 1
+        while w[r] and k <= m:
+            fen[k] += w[r]
+            k += k & -k
+
+    out = []
+    for p, q, a1, b1, a2, b2 in cands:
+        wp, cp = separating(p, q)
+        wq, cq = separating(q, p)
+        c1, c2 = (cp, cq) if a1 == p else (cq, cp)
+        # The hook and (p, q) go; the weight grown and the two new edges
+        # come.  The total counts tc[p] edges crossing (p, q), which holds
+        # while the table is exact.
+        l2p = l2 - max(tc[hi], sz[hi]) - max(tc[p], sz[p]) + (wp + wq - cross[p]) // 2
+        l2p += max(c1, abs(col[a1] - col[b1])) + max(c2, abs(col[a2] - col[b2]))
+        out.append((l2p, total - 2 * tc[p] + 2 * (cp + cq)))
+    return out
+
+
 def factorize_core(n, pairing, indices, min_t=False, debug=False):
     """Run the incremental factorization loop; returns signed factor codes
     (+i for T_i, -i for U_i)."""
@@ -292,46 +417,19 @@ def factorize_core(n, pairing, indices, min_t=False, debug=False):
                     l2 += tc[p] if tc[p] > sz[p] else sz[p]
 
             chosen = None
-            best_tot = -1
-            for p in _ranked_reps(n, mate):
-                q = mate[p]
-                if p == hi or tc[p] >= sz[p]:
-                    continue
-                tgt = merge_targets(n, hi, hj, p, q)
-                if tgt is None:
-                    continue
-                a1, b1, a2, b2 = tgt
-                s1 = abs(col[a1] - col[b1])
-                s2 = abs(col[a2] - col[b2])
-                c1 = c2 = 0
-                l2p = 0
-                tot = 0
-                for r in range(m):
-                    s = mate[r]
-                    if s < r or r == hi or r == p:
-                        continue
-                    t_new = tc[r]
-                    if _cross(r, s, p, q):
-                        t_new -= 1
-                    if _cross(r, s, a1, b1):
-                        t_new += 1
-                        c1 += 1
-                    if _cross(r, s, a2, b2):
-                        t_new += 1
-                        c2 += 1
-                    szr = sz[r]
-                    l2p += t_new if t_new > szr else szr
-                    tot += t_new
-                l2p += (c1 if c1 > s1 else s1) + (c2 if c2 > s2 else s2)
-                if l2p != l2 - 2:
-                    continue
-                tot += c1 + c2
-                if not min_t:
-                    chosen = (p, q, a1, b1, a2, b2)
-                    break
-                if chosen is None or tot < best_tot:
-                    chosen = (p, q, a1, b1, a2, b2)
-                    best_tot = tot
+            if min_t:
+                # The first viable candidate with a strictly smaller total.
+                cands = list(_candidates(n, mate, tc, sz, hi))
+                best_tot = -1
+                for cand, (l2p, tot) in zip(cands, _sweep(n, mate, tc, sz, col, hi, cands, l2)):
+                    if l2p == l2 - 2 and (chosen is None or tot < best_tot):
+                        chosen = cand
+                        best_tot = tot
+            else:
+                for cand in _candidates(n, mate, tc, sz, hi):
+                    if _scan(n, mate, tc, sz, col, hi, cand)[0] == l2 - 2:
+                        chosen = cand
+                        break
             if chosen is None:
                 raise NoViableMerge(
                     f"no merge candidate reduces the length at index {i} "

@@ -4,8 +4,11 @@ factorize() is the fast path: it extracts the factor indices from the
 bubble-sort factorization of the tangle's permutation image, then walks
 them top-down, stripping a crossing (T_i) or merging the top hook (U_i)
 at each step while a per-edge crossing table is maintained incrementally.
-The table makes the length test linear per merge candidate, so the whole
-run is quartic in N.  The inner loop lives in brauer._kernels.
+The table makes the length test linear per merge candidate, and the
+default mode tests candidates in order until one passes, so its run is
+quartic in N, the paper's bound.  With min_t every candidate of a U-step
+is scored from one prefix-sum and Fenwick sweep in O(N log N), so that run
+is O(N^3 log N).  The inner loop lives in brauer._kernels.
 
 factorize_naive() is the reference algorithm: at each step it tries every
 merge of the leftmost size-one upper hook, or every T_i composition, and

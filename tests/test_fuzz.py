@@ -19,6 +19,7 @@ from conftest import outcome
 from brauer import cli, factorize, length_p
 from brauer._kernels import pure
 from brauer.errors import BrauerError
+from brauer.factorize import factor_indices
 from brauer.tangle import Tangle, compose_word, parse_tangle, parse_word
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -62,6 +63,32 @@ def test_kernels_agree_on_raw_input(speedups, case, indices, min_t, debug):
     for fn in ("crossing_counts", "factorize_core"):
         args = (n, values) if fn == "crossing_counts" else (n, values, indices, min_t, debug)
         assert outcome(getattr(pure, fn), *args) == outcome(getattr(speedups, fn), *args)
+
+
+@st.composite
+def hooked_pairings(draw):
+    """(n, pairing): a pairing of B_n, 2 <= n <= 10, often with the upper
+    hook (1, 2) or (n-1, n), so that U-steps at both ends of the row run."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    hooks = draw(st.sampled_from([(), ((0, 1),), ((n - 2, n - 1),), ((0, 1), (n - 2, n - 1))]))
+    mate = [-1] * (2 * n)
+    for p, q in hooks:
+        if mate[p] < 0 and mate[q] < 0:
+            mate[p], mate[q] = q, p
+    order = draw(st.permutations([p for p in range(2 * n) if mate[p] < 0]))
+    for p, q in zip(order[::2], order[1::2]):
+        mate[p], mate[q] = q, p
+    return n, mate
+
+
+@FUZZ
+@given(hooked_pairings(), st.booleans())
+def test_min_t_twins_agree_on_whole_factorizations(speedups, case, debug):
+    # The pairing's own index sequence: every U-step of a whole run is
+    # scored by the sweep, not only the first few of a raw sequence.
+    n, mate = case
+    args = (n, mate, factor_indices(Tangle(n, tuple(mate))), True, debug)
+    assert outcome(pure.factorize_core, *args) == outcome(speedups.factorize_core, *args)
 
 
 @FUZZ

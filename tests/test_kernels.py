@@ -10,12 +10,14 @@ import random
 import shutil
 import subprocess
 import sysconfig
+import time
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from conftest import all_pairings, outcome, store_bytes, twin_store
+from conftest import all_pairings, all_tangles, outcome, store_bytes, twin_store
 
 import brauer
 from brauer._kernels import pure
@@ -36,6 +38,15 @@ def nested_hooks(n: int) -> Tangle:
     mate = [0] * (2 * n)
     for k in range(1, n // 2 + 1):
         for p, q in ((k - 1, n - k), (2 * n - k, n - 1 + k)):
+            mate[p], mate[q] = q, p
+    return Tangle(n, tuple(mate))
+
+
+def crossed_hooks(n: int) -> Tangle:
+    """Top and bottom hooks (k, n/2+k) for even n: each two in a row cross."""
+    mate = [0] * (2 * n)
+    for k in range(1, n // 2 + 1):
+        for p, q in ((k - 1, n // 2 + k - 1), (2 * n - k, 2 * n - n // 2 - k)):
             mate[p], mate[q] = q, p
     return Tangle(n, tuple(mate))
 
@@ -90,6 +101,80 @@ def test_factorize_core_agrees_on_nested_hooks(speedups, n, min_t):
     a = pure.factorize_core(n, list(x.pairing), indices, min_t, True)
     assert a == speedups.factorize_core(n, list(x.pairing), indices, min_t, True)
     assert sum(1 for v in a if v < 0) >= n * n // 8
+
+
+def scan_every_candidate(n, mate, tc, sz, col, hi, cands, l2):
+    """--min-t's scores as both twins took them before the sweep: one walk
+    over the edges per candidate, (twice the length, the crossing total)
+    after its merge."""
+    return [pure._scan(n, mate, tc, sz, col, hi, cand) for cand in cands]
+
+
+def min_t_reference(n, pairing, indices):
+    """factorize_core with min_t, every candidate scored by its own scan.
+    At each U-step it also checks that pure._sweep gives every candidate,
+    viable or not, the same scores."""
+    sweep = pure._sweep
+
+    def scores(*args):
+        scanned = scan_every_candidate(*args)
+        assert sweep(*args) == scanned
+        return scanned
+
+    with mock.patch.object(pure, "_sweep", scores):
+        return pure.factorize_core(n, list(pairing), indices, True)
+
+
+def assert_min_t_twins_equal_reference(speedups, tangles):
+    for x in tangles:
+        indices = factor_indices(x)
+        expected = min_t_reference(x.n, x.pairing, indices)
+        for twin in (pure, speedups):
+            assert twin.factorize_core(x.n, list(x.pairing), indices, True) == expected, x
+
+
+def _random_tangles(seed, count, sizes):
+    rng = random.Random(seed)
+    return [random_tangle(rng.choice(sizes), rng) for _ in range(count)]
+
+
+MIN_T_FAMILIES = {
+    "B_1..B_5": lambda: (x for n in range(1, 6) for x in all_tangles(n)),
+    "hooks": lambda: (f(n) for n in (2, 4, 8, 16, 32) for f in (nested_hooks, crossed_hooks)),
+    "random": lambda: _random_tangles(8, 50, range(1, 49)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MIN_T_FAMILIES))
+def test_min_t_twins_equal_the_scan_reference(speedups, family):
+    assert_min_t_twins_equal_reference(speedups, MIN_T_FAMILIES[family]())
+
+
+@pytest.mark.slow
+def test_min_t_twins_equal_the_scan_reference_on_b6(speedups):
+    assert_min_t_twins_equal_reference(speedups, all_tangles(6))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [128, 256])
+def test_min_t_twins_equal_the_scan_reference_on_large_tangles(speedups, n):
+    assert_min_t_twins_equal_reference(speedups, [random_tangle(n, random.Random(n))])
+
+
+@pytest.mark.slow
+def test_min_t_costs_at_most_five_default_runs(speedups):
+    # Scoring each candidate by its own scan cost about 15x the default walk
+    # on this tangle, and the sweep costs about 2.5x (2-vCPU x86-64 VM, gcc
+    # -O2).
+    x = random_tangle(256, random.Random(256))
+    args = (256, list(x.pairing), factor_indices(x))
+    best = {False: math.inf, True: math.inf}
+    for _ in range(5):
+        for min_t in best:
+            start = time.perf_counter()
+            speedups.factorize_core(*args, min_t)
+            best[min_t] = min(best[min_t], time.perf_counter() - start)
+    assert best[True] <= 5 * best[False], best
 
 
 @pytest.mark.parametrize(
