@@ -7,9 +7,7 @@
  * their arguments the same way, return the same lists and raise the same
  * exceptions with the same messages.  The core works on int arrays and
  * returns a status code; only the entry points at the bottom touch Python
- * objects.  merge_scan replaces pure.py's three crossing tests per edge by
- * three tests of which of p, q and the hook lie inside it; the counts are
- * the same.  Keep the two in sync.
+ * objects.  merge_scan walks a merge the same way as pure.merge_scan.
  *
  * Under min_t every merge candidate of a U-step is scored from arrays
  * built once per step (min_t_choice), not by one merge_scan each.  An edge
@@ -163,7 +161,7 @@ static inline __attribute__((always_inline)) int merge_targets(int n, int hi, in
 static inline long merge_scan(int m, const int *mate, int *tc, const int *sz, int hi,
                               int p, int q, const int *t, int apply, int *c)
 {
-    int cross_p = 0, cross_q = 0;
+    int sep_p = 0, sep_q = 0;
     long l2 = 0;
     for (int r = 0; r < m; r++) {
         int s = mate[r];
@@ -171,8 +169,8 @@ static inline long merge_scan(int m, const int *mate, int *tc, const int *sz, in
             continue;
         int in_p = (r < p) & (p < s), in_q = (r < q) & (q < s), in_h = (r < hi) & (hi < s);
         int grow = 2 * ((in_p == in_q) & (in_p != in_h));
-        cross_p += in_p != in_h;
-        cross_q += in_q != in_h;
+        sep_p += in_p != in_h;
+        sep_q += in_q != in_h;
         if (apply) {
             tc[r] += grow;
             tc[s] += grow;
@@ -180,8 +178,8 @@ static inline long merge_scan(int m, const int *mate, int *tc, const int *sz, in
             l2 += max_int(tc[r] + grow, sz[r]);
         }
     }
-    c[0] = t[0] == p ? cross_p : cross_q;
-    c[1] = t[0] == p ? cross_q : cross_p;
+    c[0] = t[0] == p ? sep_p : sep_q;
+    c[1] = t[0] == p ? sep_q : sep_p;
     return l2;
 }
 

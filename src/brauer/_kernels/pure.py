@@ -27,16 +27,18 @@ factorize_core consumes the index sequence extracted from the bubble-sort
 factorization of the crossing-minimal permutation image.  For each index i
 it either strips a top crossing (compose T_i on top, the two touched edges
 each lose one crossing) or, when (i, i+1) is an upper hook, merges the hook
-with the first candidate edge whose merge drops the half-sum length by
-exactly one, maintaining the per-edge crossing table incrementally so the
-length test is linear per candidate (_scan).
+with the first candidate edge (p, q) whose merge drops the half-sum length
+by exactly one.  One walk over the other edges, merge_scan, both tests a
+candidate and commits the chosen merge to the per-edge crossing table: no
+walked edge separates hi from hi+1, so it crosses a new edge iff it
+separates that edge's end, p or q, from the hook, and its own count grows
+by 2 iff it separates both, and otherwise does not change.
 
 With min_t the merge is the first such candidate with the least crossing
-total, and _sweep scores every candidate of the U-step at once.  A merge
-adds 2 to another edge's count or nothing, so an edge that grows gains
-w = max(tc+2, sz) - max(tc, sz) in doubled length.  It grows iff A = B != H
-for A, B, H its containment of p, q and the hook, and since
-[A = B != H] = ([A != H] + [B != H] - [A != B]) / 2 the weight grown is
+total, and _sweep scores every candidate of the U-step at once.  An edge
+that grows gains w = max(tc+2, sz) - max(tc, sz) in doubled length.  It
+grows iff A = B != H for A, B, H its containment of p, q and the hook, and
+since [A = B != H] = ([A != H] + [B != H] - [A != B]) / 2 the weight grown is
 (W_p + W_q - X) / 2.  W_x, the weight of the edges separating x from the
 hook, comes from prefix sums anchored at the hook; X, the weight of the
 edges crossing (p, q), from one Fenwick sweep over the right ends.  A
@@ -235,11 +237,6 @@ def crossing_counts(n, pairing):
     return out
 
 
-def _cross(a, b, c, d):
-    # Both pairs ordered, all four positions distinct.
-    return (a < c < b) != (a < d < b)
-
-
 def merge_targets(n, hi, hj, p, q):
     """Positions (a1, b1, a2, b2) of the two replacement edges for merging
     the upper hook (hi, hj = hi+1) with the edge (p, q), p < q, or None
@@ -291,39 +288,42 @@ def _candidates(n, mate, tc, sz, hi):
             yield (p, q, *tgt)
 
 
-def _scan(n, mate, tc, sz, col, hi, cand):
-    """(twice the length, the crossing total) of the tangle after the merge
-    cand, by one walk over the other edges."""
+def merge_scan(n, mate, tc, sz, col, hi, cand, apply=False):
+    """(twice the length, the crossing total, the two new edges' counts)
+    of the tangle after the merge cand, by one walk over the other edges;
+    with apply, tc becomes that tangle's table (mate is left as it is)."""
     p, q, a1, b1, a2, b2 = cand
-    s1 = abs(col[a1] - col[b1])
-    s2 = abs(col[a2] - col[b2])
-    c1 = c2 = 0
-    l2p = 0
-    tot = 0
+    sep_p = sep_q = 0
+    l2p = tot = 0
     for r in range(2 * n):
         s = mate[r]
         if s < r or r == hi or r == p:
             continue
-        t_new = tc[r]
-        if _cross(r, s, p, q):
-            t_new -= 1
-        if _cross(r, s, a1, b1):
-            t_new += 1
-            c1 += 1
-        if _cross(r, s, a2, b2):
-            t_new += 1
-            c2 += 1
+        in_h = r < hi < s
+        sp = (r < p < s) != in_h  # the edge separates p from the hook
+        sq = (r < q < s) != in_h
+        sep_p += sp
+        sep_q += sq
+        t = tc[r] + 2 if sp and sq else tc[r]
+        if apply:
+            tc[r] = tc[s] = t
         szr = sz[r]
-        l2p += t_new if t_new > szr else szr
-        tot += t_new
+        l2p += t if t > szr else szr
+        tot += t
+    c1, c2 = (sep_p, sep_q) if a1 == p else (sep_q, sep_p)
+    if apply:
+        tc[a1] = tc[b1] = c1
+        tc[a2] = tc[b2] = c2
+    s1 = abs(col[a1] - col[b1])
+    s2 = abs(col[a2] - col[b2])
     l2p += (c1 if c1 > s1 else s1) + (c2 if c2 > s2 else s2)
-    return l2p, tot + c1 + c2
+    return l2p, tot + c1 + c2, c1, c2
 
 
 def _sweep(n, mate, tc, sz, col, hi, cands, l2):
-    """_scan's pair for every candidate in cands, the total as long as the
-    table is exact, from arrays built once (see the module docstring); l2
-    is twice the current length."""
+    """merge_scan's first two values for every candidate in cands, the
+    total as long as the table is exact, from arrays built once (see the
+    module docstring); l2 is twice the current length."""
     m = 2 * n
     w = [max(t + 2, s) - max(t, s) for t, s in zip(tc, sz)]
     pre = [0, *accumulate(w)]
@@ -427,7 +427,7 @@ def factorize_core(n, pairing, indices, min_t=False, debug=False):
                         best_tot = tot
             else:
                 for cand in _candidates(n, mate, tc, sz, hi):
-                    if _scan(n, mate, tc, sz, col, hi, cand)[0] == l2 - 2:
+                    if merge_scan(n, mate, tc, sz, col, hi, cand)[0] == l2 - 2:
                         chosen = cand
                         break
             if chosen is None:
@@ -436,27 +436,10 @@ def factorize_core(n, pairing, indices, min_t=False, debug=False):
                     f"(step {step}, pairing {tuple(mate)}, counts {tuple(tc)})"
                 )
 
-            p, q, a1, b1, a2, b2 = chosen
-            c1 = c2 = 0
-            for r in range(m):
-                s = mate[r]
-                if s < r or r == hi or r == p:
-                    continue
-                delta = 0
-                if _cross(r, s, p, q):
-                    delta -= 1
-                if _cross(r, s, a1, b1):
-                    delta += 1
-                    c1 += 1
-                if _cross(r, s, a2, b2):
-                    delta += 1
-                    c2 += 1
-                tc[r] += delta
-                tc[s] += delta
+            merge_scan(n, mate, tc, sz, col, hi, chosen, apply=True)
+            a1, b1, a2, b2 = chosen[2:]
             mate[a1], mate[b1] = b1, a1
             mate[a2], mate[b2] = b2, a2
-            tc[a1] = tc[b1] = c1
-            tc[a2] = tc[b2] = c2
             sz[a1] = sz[b1] = abs(col[a1] - col[b1])
             sz[a2] = sz[b2] = abs(col[a2] - col[b2])
             out.append(-i)

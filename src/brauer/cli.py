@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 One subcommand per task: factorize, length, tau, compose, reduce, render,
-the oracle family (build/table/max-merges/check-a2) and the randomized
+the oracle family (build/table/max-merges), check-a2 and the randomized
 check-a1.  Tangles are read one per line in the text format
 "B3: (1,3) (2,1') (2',3')"; words are whitespace-separated prime tokens,
 topmost factor first.  Domain errors exit with status 1 and print a
@@ -145,11 +145,9 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> None:
     if args.oracle_cmd == "table":
         for k, count in oc.length_table(db).items():
             out.write(f"{args.n},{k},{count}\n")
-    elif args.oracle_cmd == "max-merges":
+    else:
         best, attaining = oc.max_merges(db)
         out.write(f"{args.n},{best},{attaining}\n")
-    elif args.oracle_cmd == "check-a2":
-        _cmd_check_a2(args, out)
 
 
 def _cmd_check_a2(args: argparse.Namespace, out: TextIO) -> None:
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--huge", action="store_true", help="confirm N >= 7")
     b.add_argument("--max-nodes", type=int, default=None)
     b.add_argument("-o", "--output", help="write the database to a file")
-    for name in ("table", "max-merges", "check-a2"):
+    for name in ("table", "max-merges"):
         q = osub.add_parser(name)
         q.add_argument("n", type=int)
         q.add_argument("--huge", action="store_true")

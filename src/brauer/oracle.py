@@ -138,12 +138,6 @@ class MinimalDatabase:
             r = self.parents[r]
         return bytes(out)
 
-    def _entry(self, r: int) -> DbEntry:
-        return DbEntry(self.lengths[r], self._word(r), self.t_counts[r])
-
-    def entry(self, x: Tangle) -> DbEntry:
-        return self._entry(self._rank(x))
-
     def length(self, x: Tangle) -> int:
         return self.lengths[self._rank(x)]
 
@@ -160,7 +154,7 @@ class MinimalDatabase:
 
     def items(self) -> Iterator[tuple[Tangle, DbEntry]]:
         for r, x in enumerate(self.tangles()):
-            yield x, self._entry(r)
+            yield x, DbEntry(self.lengths[r], self._word(r), self.t_counts[r])
 
 
 # ---------------------------------------------------------------------------

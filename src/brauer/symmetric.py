@@ -29,11 +29,6 @@ class Permutation:
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.image)
 
-    @staticmethod
-    def parse(text: str) -> Permutation:
-        image = tuple(int(tok) for tok in text.split(","))
-        return Permutation(len(image), image)
-
 
 def to_permutation(x: Tangle) -> Permutation:
     """Permutation form of a transversal-only tangle: image[i] = j for (i, j')."""

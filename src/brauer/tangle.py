@@ -36,6 +36,7 @@ threads.
 from __future__ import annotations
 
 import enum
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -110,6 +111,8 @@ def _as_node(value: NodeRef | str | int) -> NodeRef:
         return value
     if isinstance(value, int):
         return NodeRef(Row.TOP, value)
+    if not isinstance(value, str):
+        raise TypeError(f"node {value!r} is not a NodeRef, an int or a str")
     return NodeRef.parse(value)
 
 
@@ -233,7 +236,7 @@ class Word:
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        factors = tuple(map(Factor, self.factors))
+        factors = tuple(map(Factor, map(operator.index, self.factors)))
         if factors and (0 in factors or max(map(abs, factors)) >= self.n):
             bad = next(v for v in factors if not 0 < abs(v) < self.n)
             raise IndexOutOfRange(f"factor {bad} needs 1 <= |v| <= {self.n - 1} in B_{self.n}")

@@ -107,7 +107,7 @@ def scan_every_candidate(n, mate, tc, sz, col, hi, cands, l2):
     """--min-t's scores as both twins took them before the sweep: one walk
     over the edges per candidate, (twice the length, the crossing total)
     after its merge."""
-    return [pure._scan(n, mate, tc, sz, col, hi, cand) for cand in cands]
+    return [pure.merge_scan(n, mate, tc, sz, col, hi, cand)[:2] for cand in cands]
 
 
 def min_t_reference(n, pairing, indices):
@@ -148,6 +148,45 @@ MIN_T_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(MIN_T_FAMILIES))
 def test_min_t_twins_equal_the_scan_reference(speedups, family):
     assert_min_t_twins_equal_reference(speedups, MIN_T_FAMILIES[family]())
+
+
+def merged_reference(n, mate, cand):
+    """(twice the length, the crossing total, the two new edges' counts) of
+    the tangle after the merge cand, and its crossing table, counted afresh
+    on a merged copy of the pairing."""
+    _, _, a1, b1, a2, b2 = cand
+    after = list(mate)
+    after[a1], after[b1] = b1, a1
+    after[a2], after[b2] = b2, a2
+    counts = pure.crossing_counts(n, after)
+    col = [p + 1 if p < n else 2 * n - p for p in range(2 * n)]
+    reps = [r for r in range(2 * n) if after[r] > r]
+    l2 = sum(max(counts[r], abs(col[r] - col[after[r]])) for r in reps)
+    return (l2, sum(counts[r] for r in reps), counts[a1], counts[a2]), counts
+
+
+@pytest.mark.parametrize("family", ["B_1..B_5", "hooks"])
+def test_merge_scan_equals_a_fresh_count(family):
+    # Every call pure.factorize_core makes in either mode, to test a
+    # candidate or to commit the chosen merge, checked against
+    # crossing_counts on the merged copy.
+    merge_scan = pure.merge_scan
+    applied = []
+
+    def checked(n, mate, tc, sz, col, hi, cand, apply=False):
+        scores, table = merged_reference(n, mate, cand)
+        assert merge_scan(n, mate, tc, sz, col, hi, cand, apply) == scores
+        if apply:
+            assert tc == table
+        applied.append(apply)
+        return scores
+
+    with mock.patch.object(pure, "merge_scan", checked):
+        for x in MIN_T_FAMILIES[family]():
+            indices = factor_indices(x)
+            for min_t in (False, True):
+                pure.factorize_core(x.n, list(x.pairing), indices, min_t)
+    assert True in applied and False in applied
 
 
 @pytest.mark.slow

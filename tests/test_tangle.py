@@ -89,6 +89,12 @@ class TestConstruction:
         with pytest.raises(SelfLoop):
             make_tangle(1, [(1, 1)])
 
+    def test_node_of_a_wrong_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="node 2.5"):
+            make_tangle(2, [(1, 2.5), ("1'", "2'")])
+        with pytest.raises(TypeError, match="node 2.5"):
+            edge(1, 2.5)
+
     def test_identity_edges(self):
         assert format_tangle(identity(1)) == "B1: (1,1')"
         assert format_tangle(identity(3)) == "B3: (1,1') (2,2') (3,3')"
@@ -456,6 +462,14 @@ class TestTextFormats:
                 parse_word(text, 3)
         with pytest.raises(IndexOutOfRange):
             Word(3, (1, -3))
+
+    @pytest.mark.parametrize("factor", [1.5, "2", "a"])
+    def test_word_factor_must_be_an_integer(self, factor):
+        with pytest.raises(TypeError):
+            Word(3, (factor,))
+
+    def test_word_factor_may_be_a_bool(self):
+        assert Word(3, (True, -2)).factors == (1, -2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_roundtrip_exhaustive(self, n, db):
