@@ -124,30 +124,21 @@ static inline int right_multiply(int *mate, int n, int v)
 
 /* The replacement edges (t[0],t[1]) and (t[2],t[3]) for merging the hook
  * (hi,hi+1) with the edge (p,q), p < q; 0 when the merge is undefined.
+ * As pure.merge_targets: the cut between columns hi+1 and hi+2 splits the
+ * boundary into a left arc, 0..hi and 2n-1-hi..2n-1, and a right arc; the
+ * merge is defined exactly for the edges other than the hook that cross
+ * the cut, and joins the left end to hi and the right end to hi+1.
  * Always inlined: the default walk calls it for each edge it passes, and
  * a call there made nested hooks 5% slower. */
 static inline __attribute__((always_inline)) int merge_targets(int n, int hi, int p, int q, int *t)
 {
-    int hj = hi + 1, x = p + 1, y = 2 * n - q, before, ok;
-    if (q < n) {                /* upper hook (p+1, q+1) */
-        before = 1;
-        ok = p < hi && q > hj;
-    } else if (p >= n) {        /* lower hook with indices (2n-q, 2n-p) */
-        before = 0;
-        ok = q >= 2 * n - hj && p <= 2 * n - hj - 1;
-    } else if (x < y) {         /* transversal, top index x, bottom index y */
-        before = 1;
-        ok = x < hj && y >= hj + 1;
-    } else {
-        before = 0;
-        ok = x > hj + 1 && y <= hj;
-    }
-    if (!ok)
+    int left_p = p <= hi || p >= 2 * n - 1 - hi;
+    if (p == hi || left_p == (q <= hi || q >= 2 * n - 1 - hi))
         return 0;
-    t[0] = before ? p : hi;
-    t[1] = before ? hi : q;
-    t[2] = hj;
-    t[3] = before ? q : p;
+    t[0] = left_p ? p : hi;
+    t[1] = left_p ? hi : q;
+    t[2] = hi + 1;
+    t[3] = left_p ? q : p;
     return 1;
 }
 
@@ -225,7 +216,7 @@ static int min_t_choice(int n, const int *mate, const int *tc, const int *sz, in
     long *cross = fen + m + 1, *rights = cross + m, total = 0, best = 0, nw = 0, nc = 0, sum = 0;
     for (int k = 0; k < nrank; k++) {
         int p = ranked[k];
-        if (p != hi && tc[p] < sz[p] && merge_targets(n, hi, p, mate[p], t)) {
+        if (tc[p] < sz[p] && merge_targets(n, hi, p, mate[p], t)) {
             ranked[ncand++] = p;
             lo = p < lo ? p : lo;
             up = mate[p] > up ? mate[p] : up;
@@ -340,7 +331,7 @@ static enum status factorize_loop(int n, int *mate, const int *idx, int steps,
                 /* The first candidate whose merge drops the length by one. */
                 for (int k = 0; k < nrank && !found; k++) {
                     p = ranked[k];
-                    if (p == hi || tc[p] >= sz[p] || !merge_targets(n, hi, p, mate[p], ch))
+                    if (tc[p] >= sz[p] || !merge_targets(n, hi, p, mate[p], ch))
                         continue;
                     long l2p = merge_scan(m, mate, tc, sz, hi, p, mate[p], ch, 0, c)
                                + max_int(c[0], size_of(n, ch[0], ch[1]))

@@ -237,43 +237,26 @@ def crossing_counts(n, pairing):
     return out
 
 
-def merge_targets(n, hi, hj, p, q):
+def merge_targets(n, hi, p, q):
     """Positions (a1, b1, a2, b2) of the two replacement edges for merging
-    the upper hook (hi, hj = hi+1) with the edge (p, q), p < q, or None
-    when the pair fits none of the four cases.  The one merge table in
-    Python; tangle.merge applies it too."""
-    i = hi + 1
-    if q < n:  # upper hook (p+1, q+1)
-        if p < hi and q > hj:
-            return p, hi, hj, q
-    elif p >= n:  # lower hook with indices (2n-q, 2n-p)
-        if q >= 2 * n - i and p <= 2 * n - i - 1:
-            return hi, q, hj, p
-    else:  # transversal with top index p+1, bottom index 2n-q
-        x = p + 1
-        y = 2 * n - q
-        if x < y:
-            if x < i and y >= i + 1:
-                return p, hi, hj, q
-        elif x > y:
-            if x > i + 1 and y <= i:
-                return hi, q, hj, p
-    return None
+    the upper hook (hi, hi+1) with the edge (p, q), p < q, or None when
+    the merge is undefined.  The cut between columns hi+1 and hi+2 splits
+    the boundary into a left arc, positions 0..hi and 2n-1-hi..2n-1, and
+    a right arc; the merge is defined exactly for the edges other than the
+    hook that cross the cut, and joins the left end to hi and the right
+    end to hi+1.  The one merge rule in Python; tangle.merge applies it
+    too."""
+    left_p = p <= hi or p >= 2 * n - 1 - hi
+    if p == hi or left_p == (q <= hi or q >= 2 * n - 1 - hi):
+        return None
+    return (p, hi, hi + 1, q) if left_p else (hi, q, hi + 1, p)
 
 
 def _ranked_reps(n, mate):
     """Edge representatives in canonical order: top-anchored edges by left
     index, then lower hooks by smaller index."""
-    out = []
-    for p in range(n):
-        if mate[p] > p:
-            out.append(p)
-    for x in range(1, n + 1):
-        q = 2 * n - x
-        p = mate[q]
-        if n <= p < q:
-            out.append(p)
-    return out
+    top = [p for p in range(n) if mate[p] > p]
+    return top + [mate[q] for q in range(2 * n - 1, n - 1, -1) if n <= mate[q] < q]
 
 
 def _candidates(n, mate, tc, sz, hi):
@@ -281,9 +264,9 @@ def _candidates(n, mate, tc, sz, hi):
     (p, q, a1, b1, a2, b2): the edge (p, q) and its replacement edges."""
     for p in _ranked_reps(n, mate):
         q = mate[p]
-        if p == hi or tc[p] >= sz[p]:
+        if tc[p] >= sz[p]:
             continue
-        tgt = merge_targets(n, hi, hi + 1, p, q)
+        tgt = merge_targets(n, hi, p, q)
         if tgt is not None:
             yield (p, q, *tgt)
 

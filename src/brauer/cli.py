@@ -133,7 +133,7 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO) -> None:
     if args.oracle_cmd == "build":
         _oracle_guard(args.n, args.huge)
         progress = partial(_print_progress, time.perf_counter()) if args.huge else None
-        db = oc.bfs_cayley(args.n, max_entries=args.max_nodes, progress=progress)
+        db = oc.bfs_cayley(args.n, progress=progress)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 oc.dump_database(db, fh)
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = osub.add_parser("build", help="build the B_N database and print/dump it")
     b.add_argument("n", type=int)
     b.add_argument("--huge", action="store_true", help="confirm N >= 7")
-    b.add_argument("--max-nodes", type=int, default=None)
     b.add_argument("-o", "--output", help="write the database to a file")
     for name in ("table", "max-merges"):
         q = osub.add_parser(name)

@@ -52,7 +52,7 @@ from typing import Callable, Iterator, TextIO
 
 from ._kernels import crossing_counts, expand, rank, unrank
 from ._kernels.pure import ABSENT, MAX_N, checked_width  # noqa: F401 (oracle.MAX_N)
-from .errors import IncompleteDatabase, ParseError, ResourceLimit
+from .errors import IncompleteDatabase, ParseError
 from .tangle import (
     Tangle,
     Word,
@@ -90,9 +90,14 @@ def _decode_word(n: int, enc: bytes) -> Word:
     return Word(n, tuple(map(_FROM_BYTE.__getitem__, enc)))
 
 
-def _empty_store(total: int) -> tuple[bytearray, bytearray, bytearray, array]:
-    """(lengths, t_counts, lasts, parents) for total tangles, none held."""
-    return bytearray([ABSENT]) * total, bytearray(total), bytearray(total), array("I", [0]) * total
+def _empty_store(n: int) -> tuple[bytearray, bytearray, bytearray, array, int]:
+    """(lengths, t_counts, lasts, parents, the identity's rank) for B_n,
+    holding only the identity: length 0, its parent itself."""
+    total = double_factorial_odd(n)
+    lengths, parents = bytearray([ABSENT]) * total, array("I", [0]) * total
+    ident = rank(n, identity(n).pairing)
+    lengths[ident], parents[ident] = 0, ident
+    return lengths, bytearray(total), bytearray(total), parents, ident
 
 
 @dataclass
@@ -162,25 +167,15 @@ class MinimalDatabase:
 
 
 def bfs_cayley(
-    n: int,
-    *,
-    max_entries: int | None = None,
-    progress: Callable[[int, int, int], None] | None = None,
+    n: int, *, progress: Callable[[int, int, int], None] | None = None
 ) -> MinimalDatabase:
     """Explore B_n from the identity, U-prime edges first.
 
-    max_entries caps the store: ResourceLimit, before any search, when B_n
-    has more tangles.  progress, if given, is called with (length,
-    level_size, total_so_far) as each level is complete, from the
-    identity's level 0 to the longest.
+    progress, if given, is called with (length, level_size, total_so_far)
+    as each level is complete, from the identity's level 0 to the longest.
     """
     checked_width(n)
-    total = double_factorial_odd(n)
-    if max_entries is not None and total > max_entries:
-        raise ResourceLimit(f"B_{n} has {total} tangles, more than the cap of {max_entries}")
-    lengths, t_counts, lasts, parents = _empty_store(total)
-    ident = rank(n, identity(n).pairing)
-    lengths[ident], parents[ident] = 0, ident
+    lengths, t_counts, lasts, parents, ident = _empty_store(n)
     # The level being expanded, grouped by T-count in commit order.
     groups: dict[int, array] = {0: array("I", [ident])}
     none = array("I")
@@ -328,11 +323,9 @@ def load_database(fh: TextIO) -> MinimalDatabase:
         if n is None:
             checked_width(x.n)
             n = x.n
-            lengths, t_counts, lasts, parents = _empty_store(double_factorial_odd(n))
+            lengths, t_counts, lasts, parents, ident = _empty_store(n)
             held = bytearray(len(lengths))  # 1 where a line named the tangle
             start = identity(n).pairing
-            ident = rank(n, start)
-            lengths[ident], parents[ident] = 0, ident
         elif x.n != n:
             raise ParseError(f"mixed widths in database: B_{n} and B_{x.n}")
         word = parse_word(parts[2], x.n)

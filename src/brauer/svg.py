@@ -8,7 +8,7 @@ input yields byte-identical output, so pictures can be golden-tested.
 
 from __future__ import annotations
 
-from .tangle import Edge, EdgeKind, Tangle, Word, format_word, prime
+from .tangle import Edge, EdgeKind, Tangle, Word, format_word, identity, prime
 
 COL = 40
 GAP = 120
@@ -99,7 +99,7 @@ def render_word(w: Word) -> str:
         _band(prime(w.n, v), y, parts)
         y += GAP + 16
     if not w.factors:
-        _band(Tangle(w.n, tuple(2 * w.n - 1 - p for p in range(2 * w.n))), y, parts)
+        _band(identity(w.n), y, parts)
         y += GAP + 16
     width = 2 * MARGIN + COL * max(w.n - 1, 0)
     return _document(width, y + MARGIN - 16, parts)

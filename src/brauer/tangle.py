@@ -191,13 +191,11 @@ class Tangle:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """The edges in canonical sorted order."""
-        found = []
-        for p, q in enumerate(self.pairing):
-            if q > p:
-                found.append(Edge(position_node(self.n, p), position_node(self.n, q)))
-        found.sort(key=lambda e: (e.a.row, e.a.index))
-        return tuple(found)
+        """The edges in canonical order, the kernel's _ranked_reps: sorted
+        by first node, top row before bottom row, then by index."""
+        n, pairing = self.n, self.pairing
+        reps = _ranked_reps(n, pairing)
+        return tuple([Edge(position_node(n, p), position_node(n, pairing[p])) for p in reps])
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -464,9 +462,11 @@ def _merged(x: Tangle, targets: tuple[int, int, int, int]) -> Tangle:
 def merge(x: Tangle, h: Edge, e: Edge) -> Tangle:
     """Merge the size-one upper hook h = (i, i+1) with edge e.
 
-    The pair (h, e) must fit one of the four defined cases of the kernel's
-    merge_targets; the two new edges never cross, and
-    compose(U_i, result) == x always holds.
+    The merge is defined exactly when e crosses the cut between columns i
+    and i+1, that is, has one end among the columns 1..i of either row and
+    the other among i+1..N; e's end left of the cut then joins i and its
+    other end joins i+1 (the kernel's merge_targets).  The two new edges
+    never cross, and compose(U_i, result) == x always holds.
     """
     if h not in x.edge_set:
         raise EdgeNotInTangle(f"{h} not in {x}")
@@ -479,7 +479,7 @@ def merge(x: Tangle, h: Edge, e: Edge) -> Tangle:
 
     n, hi = x.n, h.a.index - 1
     p, q = sorted((node_position(n, e.a), node_position(n, e.b)))
-    targets = merge_targets(n, hi, hi + 1, p, q)
+    targets = merge_targets(n, hi, p, q)
     if targets is None:
         raise MergeUndefined(f"merge of {h} with {e} is undefined")
     return _merged(x, targets)
@@ -488,10 +488,12 @@ def merge(x: Tangle, h: Edge, e: Edge) -> Tangle:
 def hook_merges(x: Tangle, i: int) -> Iterator[Tangle]:
     """merge(x, (i, i+1), e) for each edge e of x, in canonical order, for
     which it is defined (never for the hook itself); (i, i+1) must be an
-    upper hook of x."""
+    upper hook of x, NotASizeOneUpperHook otherwise."""
     n, hi = x.n, i - 1
+    if not (1 <= i <= n - 1 and x.pairing[hi] == i):
+        raise NotASizeOneUpperHook(f"({i},{i + 1}) is not an upper hook of size one")
     for p in _ranked_reps(n, x.pairing):
-        targets = merge_targets(n, hi, i, p, x.pairing[p])
+        targets = merge_targets(n, hi, p, x.pairing[p])
         if targets is not None:
             yield _merged(x, targets)
 

@@ -234,7 +234,7 @@ def _cap_memory() -> None:
             "error: ResourceLimit:", 60, id="render",
         ),
         pytest.param(
-            ["oracle", "build", "200", "--huge", "--max-nodes", "10"], "", True, 1,
+            ["oracle", "build", "200", "--huge"], "", True, 1,
             "error: ResourceLimit:", 60, id="oracle-width",
         ),
     ],

@@ -103,6 +103,36 @@ def test_factorize_core_agrees_on_nested_hooks(speedups, n, min_t):
     assert sum(1 for v in a if v < 0) >= n * n // 8
 
 
+def four_case_targets(n, hi, p, q):
+    """The paper's merge table for the hook (i, i+1), i = hi + 1, by the
+    kind of the edge (p, q), p < q: the reference for pure.merge_targets."""
+    i = hi + 1
+    if q < n:  # upper hook (p+1, q+1)
+        if p < hi and q > hi + 1:
+            return p, hi, hi + 1, q
+    elif p >= n:  # lower hook with indices (2n-q, 2n-p)
+        if q >= 2 * n - i and p <= 2 * n - i - 1:
+            return hi, q, hi + 1, p
+    else:  # transversal with top index p+1, bottom index 2n-q
+        x, y = p + 1, 2 * n - q
+        if x < y and x < i and y >= i + 1:  # negative
+            return p, hi, hi + 1, q
+        if x > y and x > i + 1 and y <= i:  # positive
+            return hi, q, hi + 1, p
+    return None
+
+
+def test_merge_targets_equal_the_four_cases():
+    # Every edge (p, q) of a tangle of B_2..B_10 with the upper hook
+    # (hi, hi+1), the hook itself included.
+    for n in range(2, 11):
+        for hi in range(n - 1):
+            others = [p for p in range(2 * n) if p not in (hi, hi + 1)]
+            edges = [(hi, hi + 1)] + [(p, q) for q in others for p in others if p < q]
+            for p, q in edges:
+                assert pure.merge_targets(n, hi, p, q) == four_case_targets(n, hi, p, q)
+
+
 def scan_every_candidate(n, mate, tc, sz, col, hi, cands, l2):
     """--min-t's scores as both twins took them before the sweep: one walk
     over the edges per candidate, (twice the length, the crossing total)

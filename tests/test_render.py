@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from brauer.errors import IndexOutOfRange
 from brauer.svg import render_tangle, render_word
 from brauer.tangle import identity, parse_tangle, parse_word, u_prime
 
@@ -35,3 +38,8 @@ def test_byte_identical():
 def test_empty_word_draws_identity():
     doc = render_word(parse_word("", 3))
     assert doc.count("L ") == 3
+
+
+def test_empty_word_of_a_negative_width():
+    with pytest.raises(IndexOutOfRange, match="n must be >= 0, got -2"):
+        render_word(parse_word("", -2))

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from brauer._kernels.pure import _ranked_reps
 from brauer.errors import (
     DuplicateNode,
     EdgeNotInTangle,
@@ -21,6 +22,7 @@ from brauer.errors import (
 )
 from brauer.tangle import (
     Axis,
+    Edge,
     EdgeKind,
     Tangle,
     Word,
@@ -38,6 +40,7 @@ from brauer.tangle import (
     merge,
     parse_tangle,
     parse_word,
+    position_node,
     prime,
     random_tangle,
     reflect,
@@ -169,6 +172,30 @@ class TestEdges:
         assert str(edge("3'", "2'")) == "(2',3')"
         assert str(edge("1'", 4)) == "(4,1')"
         assert str(edge(3, 1)) == "(1,3)"
+
+    def test_edges_are_sorted_by_first_node(self):
+        # The reference is a sort by first node, top row before bottom
+        # row, then by index.  Tangle.edges takes its order from
+        # _ranked_reps, checked by position on all of B_0..B_6; the edges
+        # themselves are checked on B_0..B_4 and random tangles.
+        from conftest import all_pairings, all_tangles
+
+        for n in range(7):
+            key = [(p >= n, p + 1 if p < n else 2 * n - p) for p in range(2 * n)]
+            for pairing in all_pairings(2 * n):
+                first = [min(key[p], key[q]) for p, q in enumerate(pairing)]
+                reps = [p for p, q in enumerate(pairing) if q > p]
+                assert _ranked_reps(n, pairing) == sorted(reps, key=first.__getitem__)
+        rng = random.Random(28)
+        family = [x for n in range(5) for x in all_tangles(n)]
+        family += [random_tangle(rng.randrange(7, 129), rng) for _ in range(10)]
+        for x in family:
+            found = [
+                Edge(position_node(x.n, p), position_node(x.n, q))
+                for p, q in enumerate(x.pairing)
+                if q > p
+            ]
+            assert x.edges == tuple(sorted(found, key=lambda e: (e.a.row, e.a.index)))
 
 
 class TestCompose:
@@ -368,6 +395,19 @@ class TestMerge:
                     checked += 1
                 assert list(hook_merges(x, h.a.index)) == merged
         assert checked == 57
+
+    @pytest.mark.parametrize(
+        "text,i",
+        [
+            ("B3: (1,2) (3,1') (2',3')", 0),  # outside 1..n-1
+            ("B3: (1,2) (3,1') (2',3')", 3),
+            ("B3: (1,2) (3,1') (2',3')", 2),  # (2,3) is not a hook here
+            ("B3: (1,1') (2,2') (3,3')", 1),
+        ],
+    )
+    def test_hook_merges_needs_an_upper_hook(self, text, i):
+        with pytest.raises(NotASizeOneUpperHook, match=rf"^\({i},{i + 1}\) is not an upper hook"):
+            list(hook_merges(parse_tangle(text), i))
 
 
 class TestReflect:
