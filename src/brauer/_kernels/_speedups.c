@@ -7,7 +7,9 @@
  * their arguments the same way, return the same lists and raise the same
  * exceptions with the same messages.  The core works on int arrays and
  * returns a status code; only the entry points at the bottom touch Python
- * objects.  merge_scan walks a merge the same way as pure.merge_scan.
+ * objects, and each one that takes a pairing reads it through one reader,
+ * read_pairing, which snapshots it as a tuple first.  merge_scan walks a
+ * merge the same way as pure.merge_scan.
  *
  * Under min_t every merge candidate of a U-step is scored from arrays
  * built once per step (min_t_choice), not by one merge_scan each.  An edge
@@ -99,6 +101,15 @@ static void unrank_into(int n, uint64_t r, int *mate)
         memmove(avail, avail + 1, (size_t)(navail - 2) * sizeof(int));
         navail -= 2;
     }
+}
+
+/* (2n-1)!!, the number of tangles of B_n, for 0 <= n <= MAX_RANK_N. */
+static long long double_factorial_odd(int n)
+{
+    long long total = 1;
+    for (int k = 3; k < 2 * n; k += 2)
+        total *= k;
+    return total;
 }
 
 /* pure.right_multiply: mate becomes X . T_v (v > 0) or X . U_-v;
@@ -406,29 +417,10 @@ static PyObject *int_seq(const int *a, int len, int tuple)
     return seq;
 }
 
-/* Convert the items of seq (a list or tuple) by __index__ into a[0..cap-1]
- * and return their number, or -1; items past cap are converted but not
- * stored.  An item outside the int range reads as -1, which no caller
- * accepts.  The size is re-read and each item held while its __index__
- * runs, since that may change a list. */
-static Py_ssize_t fill_ints(PyObject *seq, int *a, Py_ssize_t cap)
-{
-    Py_ssize_t k;
-    for (k = 0; k < PySequence_Fast_GET_SIZE(seq); k++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(seq, k);
-        Py_INCREF(item);
-        Py_ssize_t v = PyNumber_AsSsize_t(item, NULL);
-        Py_DECREF(item);
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        if (k < cap)
-            a[k] = v < 0 || v > INT_MAX ? -1 : (int)v;
-    }
-    return k;
-}
-
 /* The items of obj converted by __index__ into a new PyMem array of *len
- * ints; *items keeps them, as a tuple, for error messages. */
+ * ints; *items keeps them, as a tuple, for error messages.  An item outside
+ * the int range reads as -1, which no caller accepts.  The tuple is a
+ * snapshot, so an item's __index__ cannot change what is read. */
 static int *read_ints(PyObject *obj, PyObject **items, Py_ssize_t *len)
 {
     *items = PySequence_Tuple(obj);
@@ -440,9 +432,13 @@ static int *read_ints(PyObject *obj, PyObject **items, Py_ssize_t *len)
         PyErr_NoMemory();
         return NULL;
     }
-    if (fill_ints(*items, a, *len) < 0) {
-        PyMem_Free(a);
-        return NULL;
+    for (Py_ssize_t k = 0; k < *len; k++) {
+        Py_ssize_t v = PyNumber_AsSsize_t(PyTuple_GET_ITEM(*items, k), NULL);
+        if (v == -1 && PyErr_Occurred()) {
+            PyMem_Free(a);
+            return NULL;
+        }
+        a[k] = v < 0 || v > INT_MAX ? -1 : (int)v;
     }
     return a;
 }
@@ -458,8 +454,6 @@ static int is_pairing(const int *mate, Py_ssize_t len, Py_ssize_t n)
     return 1;
 }
 
-#define NOT_A_PAIRING "pairing is not a fixed-point-free involution of range(2n) for n = "
-
 /* n as a C int and the checked pairing as a PyMem array of 2n ints, or
  * NULL with the exception pure.py raises on the same arguments. */
 static int *read_pairing(PyObject *n_obj, PyObject *pairing, int *n_out)
@@ -471,7 +465,8 @@ static int *read_pairing(PyObject *n_obj, PyObject *pairing, int *n_out)
     int *mate = read_ints(pairing, &items, &len);
     Py_XDECREF(items);
     if (mate != NULL && !is_pairing(mate, len, n)) {
-        PyErr_Format(InvalidPairing, NOT_A_PAIRING "%S", n_int);
+        PyErr_Format(InvalidPairing,
+                     "pairing is not a fixed-point-free involution of range(2n) for n = %S", n_int);
         PyMem_Free(mate);
         mate = NULL;
     }
@@ -534,21 +529,20 @@ static int read_rank_n(PyObject *n_obj)
 static PyObject *rank(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "pairing", NULL};
-    PyObject *n_obj, *pairing, *seq;
+    PyObject *n_obj, *pairing, *n_int;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO", kwlist, &n_obj, &pairing))
         return NULL;
-    int n = read_rank_n(n_obj), mate[2 * MAX_RANK_N];
-    if (n < 0 || (seq = PySequence_Fast(pairing, "pairing is not iterable")) == NULL)
+    int n = read_rank_n(n_obj);
+    /* Pass on n as read, so that an __index__ is called once. */
+    if (n < 0 || (n_int = PyLong_FromLong(n)) == NULL)
         return NULL;
-    Py_ssize_t len = fill_ints(seq, mate, 2 * n);
-    Py_DECREF(seq);
-    if (len < 0)
+    int *mate = read_pairing(n_int, pairing, &n);
+    Py_DECREF(n_int);
+    if (mate == NULL)
         return NULL;
-    if (!is_pairing(mate, len, n)) {
-        PyErr_Format(InvalidPairing, NOT_A_PAIRING "%d", n);
-        return NULL;
-    }
-    return PyLong_FromUnsignedLongLong(rank_of(2 * n, mate));
+    uint64_t r = rank_of(2 * n, mate);
+    PyMem_Free(mate);
+    return PyLong_FromUnsignedLongLong(r);
 }
 
 static PyObject *unrank(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
@@ -560,9 +554,7 @@ static PyObject *unrank(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwa
     int n = read_rank_n(n_obj), mate[2 * MAX_RANK_N];
     if (n < 0 || (r_int = PyNumber_Index(r_obj)) == NULL)
         return NULL;
-    long long total = 1, r;
-    for (int k = 3; k < 2 * n; k += 2)
-        total *= k;
+    long long total = double_factorial_odd(n), r;
     int overflow;
     r = PyLong_AsLongLongAndOverflow(r_int, &overflow);
     if (overflow || r < 0 || r >= total) {
@@ -634,9 +626,7 @@ static PyObject *expand(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwa
                      num[1], num[2], ABSENT);
         goto done;
     }
-    long long total = 1;
-    for (int k = 3; k < 2 * n; k += 2)
-        total *= k;
+    long long total = double_factorial_odd((int)n);
     for (; held < 5; held++)
         if (store_buffer(buf[held], names[held], held < 3 ? 1 : 4, (int)n, held < 4 ? total : -1,
                          &view[held]) < 0)

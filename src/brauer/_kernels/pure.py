@@ -2,7 +2,9 @@
 
 Both modules implement exactly the same contract on the position encoding
 of a tangle (see brauer.tangle): positions 0..n-1 are the top row left to
-right, positions n..2n-1 the bottom row right to left.  Both check their
+right, positions n..2n-1 the bottom row right to left.  Each entry that
+takes a pairing reads it through one reader, _checked_pairing here and
+read_pairing in C, from a tuple snapshot of it.  Both check their
 arguments the same way: a pairing that is not a fixed-point-free
 involution of range(2n) raises InvalidPairing, a factor index outside
 1..n-1 raises IndexOutOfRange, and a value without __index__ raises
@@ -67,16 +69,21 @@ ABSENT = 0xFF  # the length byte of a tangle the store does not hold
 
 
 def _checked_pairing(n, pairing):
-    """(n, pairing as a list of ints), or InvalidPairing unless the pairing
+    """(n, tuple(pairing) as a list of ints), or InvalidPairing unless it
     is a fixed-point-free involution of range(2n)."""
     n = operator.index(n)
-    mate = [operator.index(v) for v in pairing]
+    mate = [operator.index(v) for v in tuple(pairing)]
     m = 2 * n
     if len(mate) != m or not all(0 <= q < m and q != p and mate[q] == p for p, q in enumerate(mate)):
         raise InvalidPairing(
             f"pairing is not a fixed-point-free involution of range(2n) for n = {n}"
         )
     return n, mate
+
+
+def double_factorial_odd(n):
+    """(2n-1)!! = |B_n|."""
+    return math.prod(range(1, 2 * n, 2))
 
 
 def _checked_rank_n(n):
@@ -88,23 +95,18 @@ def _checked_rank_n(n):
 
 def rank(n, pairing):
     """The rank of the pairing in 0..(2n-1)!!-1."""
-    n = _checked_rank_n(n)
-    mate = list(map(operator.index, pairing))
-    # The walk is the check: each anchor's partner is free and points back.
-    free = list(range(len(mate))) if len(mate) == 2 * n else None
+    return _rank_of(_checked_pairing(_checked_rank_n(n), pairing)[1])
+
+
+def _rank_of(mate):
+    """The rank of a checked pairing list, as the C twin's rank_of."""
+    free = list(range(len(mate)))
     r = 0
     while free:
         p = free.pop(0)
-        q = mate[p]
-        if q not in free or mate[q] != p:
-            break
-        k = free.index(q)
+        k = free.index(mate[p])
         r = r * len(free) + k
         del free[k]
-    if free != []:
-        raise InvalidPairing(
-            f"pairing is not a fixed-point-free involution of range(2n) for n = {n}"
-        )
     return r
 
 
@@ -112,7 +114,7 @@ def unrank(n, r):
     """The pairing of rank r, as a list."""
     n = _checked_rank_n(n)
     r = operator.index(r)
-    total = math.prod(range(1, 2 * n, 2))
+    total = double_factorial_odd(n)
     if not 0 <= r < total:
         raise IndexOutOfRange(f"rank {r} outside 0..{total - 1} for n = {n}")
     digits = []
@@ -192,7 +194,7 @@ def expand(n, lengths, t_counts, lasts, parents, ranks, sign, length, t):
         raise IndexOutOfRange(f"sign {sign} is neither 1 nor -1")
     if not 0 <= t <= length < ABSENT:
         raise IndexOutOfRange(f"length {length} and T-count {t} need 0 <= t <= length < {ABSENT}")
-    total = math.prod(range(1, 2 * n, 2))
+    total = double_factorial_odd(n)
     lengths, t_counts, lasts = (
         _store_view(name, buf, 1, n, total)
         for name, buf in (("lengths", lengths), ("t_counts", t_counts), ("lasts", lasts))
@@ -207,7 +209,7 @@ def expand(n, lengths, t_counts, lasts, parents, ranks, sign, length, t):
             child = pairing.copy()
             if not right_multiply(child, n, v):
                 continue
-            r = rank(n, child)
+            r = _rank_of(child)
             if lengths[r] != ABSENT:
                 continue
             lengths[r], t_counts[r], lasts[r], parents[r] = length, t, last, parent

@@ -43,7 +43,6 @@ of the tokens therefore visits the pairings in sorted text order.
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, TextIO
 
 from ._kernels import crossing_counts, expand, rank, unrank
-from ._kernels.pure import ABSENT, MAX_N, checked_width  # noqa: F401 (oracle.MAX_N)
+from ._kernels.pure import ABSENT, MAX_N, checked_width, double_factorial_odd  # noqa: F401 (MAX_N)
 from .errors import IncompleteDatabase, ParseError
 from .tangle import (
     Tangle,
@@ -65,11 +64,6 @@ from .tangle import (
     position_node,
     right_multiply,
 )
-
-
-def double_factorial_odd(n: int) -> int:
-    """(2n-1)!! = |B_n|."""
-    return math.prod(range(1, 2 * n, 2))
 
 
 @dataclass(frozen=True, slots=True)

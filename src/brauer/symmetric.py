@@ -9,22 +9,26 @@ double loop below must not be reordered.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import NotAPermutationTangle, ParseError
-from .tangle import EdgeKind, NodeRef, Row, Tangle, Word, make_tangle
+from .tangle import NodeRef, Row, Tangle, Word, make_tangle
 
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection on 1..n in one-line notation: image[i-1] = s_i."""
+    """A bijection on 1..n in one-line notation: image[i-1] = s_i, kept as
+    a tuple of ints so that equal permutations compare and hash alike."""
 
     n: int
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.image) != self.n or sorted(self.image) != list(range(1, self.n + 1)):
-            raise ParseError(f"{self.image} is not a permutation of 1..{self.n}")
+        n, image = operator.index(self.n), tuple(map(operator.index, self.image))
+        if len(image) != n or sorted(image) != list(range(1, n + 1)):
+            raise ParseError(f"{self.image} is not a permutation of 1..{n}")
+        object.__setattr__(self, "image", image)
 
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.image)
@@ -86,4 +90,4 @@ def bubble_sort_factorize(x: Tangle) -> Word:
 
 
 def is_permutation_tangle(x: Tangle) -> bool:
-    return all(e.kind not in (EdgeKind.UPPER_HOOK, EdgeKind.LOWER_HOOK) for e in x.edges)
+    return all(q >= x.n for q in x.pairing[: x.n])

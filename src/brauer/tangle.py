@@ -156,7 +156,10 @@ def edge(x: NodeRef | str | int, y: NodeRef | str | int) -> Edge:
 
 
 def node_position(n: int, node: NodeRef) -> int:
-    """Boundary position of a node in a tangle of width n."""
+    """Boundary position of a node in a tangle of width n; the one node
+    check, IndexOutOfRange unless 1 <= index <= n."""
+    if not 1 <= node.index <= n:
+        raise IndexOutOfRange(f"node {node} outside 1..{n}")
     return node.index - 1 if node.row is Row.TOP else 2 * n - node.index
 
 
@@ -197,17 +200,10 @@ class Tangle:
         reps = _ranked_reps(n, pairing)
         return tuple([Edge(position_node(n, p), position_node(n, pairing[p])) for p in reps])
 
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
     def edge_at(self, node: NodeRef) -> Edge:
         """The unique edge containing the given node."""
         p = node_position(self.n, node)
-        if not 0 <= p < 2 * self.n:
-            raise IndexOutOfRange(f"node {node} outside B_{self.n}")
-        q = self.pairing[p]
-        return Edge(position_node(self.n, p), position_node(self.n, q))
+        return Edge(position_node(self.n, p), position_node(self.n, self.pairing[p]))
 
     def __str__(self) -> str:
         return format_tangle(self)
@@ -227,17 +223,20 @@ class Factor(int):
 @dataclass(frozen=True)
 class Word:
     """A factorization of an element of B_n: signed-int factors, topmost
-    first.  Every factor needs 1 <= |v| <= n-1 (IndexOutOfRange), since
-    compose_word folds the unchecked right_multiply."""
+    first.  n >= 0 and every factor needs 1 <= |v| <= n-1 (IndexOutOfRange),
+    since compose_word folds the unchecked right_multiply."""
 
     n: int
     factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        n = operator.index(self.n)
+        if n < 0:
+            raise IndexOutOfRange(f"n must be >= 0, got {n}")
         factors = tuple(map(Factor, map(operator.index, self.factors)))
-        if factors and (0 in factors or max(map(abs, factors)) >= self.n):
-            bad = next(v for v in factors if not 0 < abs(v) < self.n)
-            raise IndexOutOfRange(f"factor {bad} needs 1 <= |v| <= {self.n - 1} in B_{self.n}")
+        if factors and (0 in factors or max(map(abs, factors)) >= n):
+            bad = next(v for v in factors if not 0 < abs(v) < n)
+            raise IndexOutOfRange(f"factor {bad} needs 1 <= |v| <= {n - 1} in B_{n}")
         object.__setattr__(self, "factors", factors)
 
     def __len__(self) -> int:
@@ -259,12 +258,9 @@ def _pairing_from_edges(n: int, pairs: Iterable[tuple[NodeRef, NodeRef]]) -> tup
     # not be allocated before the edges are known to cover it.
     mate: dict[int, int] = {}
     for a, b in pairs:
-        for node in (a, b):
-            if not 1 <= node.index <= n:
-                raise IndexOutOfRange(f"node {node} outside 1..{n}")
+        pa, pb = node_position(n, a), node_position(n, b)
         if a == b:
             raise SelfLoop(f"edge joins {a} to itself")
-        pa, pb = node_position(n, a), node_position(n, b)
         if pa in mate:
             raise DuplicateNode(f"node {a} used twice")
         if pb in mate:
@@ -295,9 +291,7 @@ def make_tangle(
 
 def identity(n: int) -> Tangle:
     """The identity tangle I_n: all zero transversals (i, i')."""
-    if n < 0:
-        raise IndexOutOfRange(f"n must be >= 0, got {n}")
-    return Tangle(n, tuple(range(2 * n - 1, -1, -1)))
+    return compose_word(Word(n, ()))
 
 
 def prime(n: int, v: int) -> Tangle:
@@ -366,7 +360,7 @@ def compose(x: Tangle, y: Tangle) -> Tangle:
 def compose_word(w: Word) -> Tangle:
     """The product of the factors, topmost first, as a fold of
     right_multiply from the identity; the empty word is I_n."""
-    pairing = list(identity(w.n).pairing)
+    pairing = list(range(2 * w.n - 1, -1, -1))
     for v in w.factors:
         right_multiply(pairing, w.n, v)
     return Tangle(w.n, tuple(pairing))
@@ -422,9 +416,8 @@ def crossing_pairs(x: Tangle) -> set[tuple[Edge, Edge]]:
     """
     out: set[tuple[Edge, Edge]] = set()
     edges = x.edges
-    pos = [
-        sorted((node_position(x.n, e.a), node_position(x.n, e.b))) for e in edges
-    ]
+    # x.edges follows _ranked_reps, which anchors each edge at its smaller position.
+    pos = [(p, x.pairing[p]) for p in _ranked_reps(x.n, x.pairing)]
     for i, (a, b) in enumerate(pos):
         for j in range(i + 1, len(edges)):
             c, d = pos[j]
@@ -433,11 +426,20 @@ def crossing_pairs(x: Tangle) -> set[tuple[Edge, Edge]]:
     return out
 
 
+def _edge_positions(x: Tangle, e: Edge) -> tuple[int, int]:
+    """The one edge lookup: e's positions p < q, EdgeNotInTangle unless x joins them."""
+    try:
+        p, q = sorted((node_position(x.n, e.a), node_position(x.n, e.b)))
+        if x.pairing[p] == q:
+            return p, q
+    except IndexOutOfRange:
+        pass
+    raise EdgeNotInTangle(f"{e} not in {x}")
+
+
 def edge_crossings(x: Tangle, e: Edge) -> int:
     """Number of edges of x crossing e (e must belong to x)."""
-    if e not in x.edge_set:
-        raise EdgeNotInTangle(f"{e} not in {x}")
-    return crossing_counts(x.n, x.pairing)[node_position(x.n, e.a)]
+    return crossing_counts(x.n, x.pairing)[_edge_positions(x, e)[0]]
 
 
 def total_crossings(x: Tangle) -> int:
@@ -468,18 +470,13 @@ def merge(x: Tangle, h: Edge, e: Edge) -> Tangle:
     other end joins i+1 (the kernel's merge_targets).  The two new edges
     never cross, and compose(U_i, result) == x always holds.
     """
-    if h not in x.edge_set:
-        raise EdgeNotInTangle(f"{h} not in {x}")
-    if h.kind is not EdgeKind.UPPER_HOOK or h.size != 1:
+    hi, hj = _edge_positions(x, h)
+    if not hj == hi + 1 < x.n:  # two adjacent top positions, as in hook_merges
         raise NotASizeOneUpperHook(f"{h} is not an upper hook of size one")
-    if e not in x.edge_set:
-        raise EdgeNotInTangle(f"{e} not in {x}")
-    if e == h:
+    p, q = _edge_positions(x, e)
+    if p == hi:
         raise MergeUndefined("cannot merge a hook with itself")
-
-    n, hi = x.n, h.a.index - 1
-    p, q = sorted((node_position(n, e.a), node_position(n, e.b)))
-    targets = merge_targets(n, hi, p, q)
+    targets = merge_targets(x.n, hi, p, q)
     if targets is None:
         raise MergeUndefined(f"merge of {h} with {e} is undefined")
     return _merged(x, targets)
@@ -505,6 +502,8 @@ def reflect(x: Tangle, axis: Axis) -> Tangle:
     vertical mirror is p -> n-1-p on the top row and p -> 3n-1-p on the
     bottom row.
     """
+    if not isinstance(axis, Axis):
+        raise TypeError(f"axis {axis!r} is not an Axis")
     n = x.n
     if axis is Axis.HORIZONTAL:
         flip = [2 * n - 1 - p for p in range(2 * n)]

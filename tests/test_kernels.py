@@ -376,6 +376,41 @@ def test_rank_errors_agree(speedups, fn, args, error):
     assert outcome(getattr(speedups, fn), *args) == expected
 
 
+class Emptying:
+    """An item whose __index__ empties the list that holds it."""
+
+    def __init__(self, value, holder):
+        self.value, self.holder = value, holder
+
+    def __index__(self):
+        self.holder.clear()
+        return self.value
+
+
+def test_rank_twins_read_a_snapshot_of_any_iterable(speedups):
+    # Both twins read the pairing through one reader, from tuple(pairing):
+    # every kind of iterable gives the same rank, and an __index__ that
+    # empties the list cannot cut the read short.
+    pairing = [5, 2, 1, 4, 3, 0]
+    expected = 12  # digits 4, 0, 0 in radices 5, 3, 1
+
+    def emptying(k):
+        items = list(pairing)
+        items[k] = Emptying(pairing[k], items)
+        return items
+
+    makers = [
+        lambda: list(pairing),
+        lambda: tuple(pairing),
+        lambda: iter(pairing),
+        lambda: emptying(0),
+        lambda: emptying(5),
+    ]
+    for make in makers:
+        for twin in (pure, speedups):
+            assert outcome(twin.rank, 3, make()) == expected
+
+
 def test_rank_non_integers_raise_type_error(kernel):
     cases = (("rank", (2.0, [3, 2, 1, 0])), ("rank", (2, [3, 2, 1, 0.0])), ("unrank", (2, 1.0)))
     for fn, args in cases:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
-from brauer.errors import NotAPermutationTangle
+from brauer.errors import NotAPermutationTangle, ParseError
 from brauer.symmetric import (
     Permutation,
     bubble_sort_factorize,
@@ -40,6 +41,20 @@ class TestToPermutation:
         for image in itertools.permutations(range(1, 5)):
             p = Permutation(4, image)
             assert to_permutation(permutation_tangle(p)) == p
+
+    def test_image_is_stored_as_a_tuple_of_ints(self):
+        p = Permutation(2, [2, 1])
+        assert p.image == (2, 1) and p == Permutation(2, (2, 1))
+        assert hash(p) == hash(Permutation(2, (2, 1)))
+
+    def test_image_must_be_integers(self):
+        with pytest.raises(TypeError):
+            Permutation(2, (1.0, 2))
+
+    @pytest.mark.parametrize("image", [(1, 1), (1, 2, 3), (0, 1)])
+    def test_non_permutation_is_a_parse_error(self, image):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(image))} is not a permutation of 1\.\.2$"):
+            Permutation(2, image)
 
 
 class TestInversionCount:

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from brauer._kernels.pure import _ranked_reps
+from brauer._kernels import crossing_counts
+from brauer._kernels.pure import _ranked_reps, merge_targets
 from brauer.errors import (
     DuplicateNode,
     EdgeNotInTangle,
@@ -24,6 +25,8 @@ from brauer.tangle import (
     Axis,
     Edge,
     EdgeKind,
+    NodeRef,
+    Row,
     Tangle,
     Word,
     components,
@@ -38,6 +41,7 @@ from brauer.tangle import (
     identity,
     make_tangle,
     merge,
+    node_position,
     parse_tangle,
     parse_word,
     position_node,
@@ -50,6 +54,7 @@ from brauer.tangle import (
     total_crossings,
     u_prime,
 )
+from brauer.tau import node_polarity
 
 EX_B3 = "B3: (1,3) (2,1') (2',3')"
 EX_B4 = "B4: (1,3) (2,3') (4,1') (2',4')"
@@ -196,6 +201,20 @@ class TestEdges:
                 if q > p
             ]
             assert x.edges == tuple(sorted(found, key=lambda e: (e.a.row, e.a.index)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_nodes_outside_1_to_n_are_refused(self, n):
+        # Top n+1 has the position of bottom n'; it must not read that edge.
+        x = random_tangle(n, random.Random(n))
+        for row in Row:
+            for index in (0, *range(n + 1, 2 * n + 2)):
+                node = NodeRef(row, index)
+                with pytest.raises(IndexOutOfRange, match=rf"^node {node} outside 1\.\.{n}$"):
+                    x.edge_at(node)
+                with pytest.raises(IndexOutOfRange):
+                    node_position(n, node)
+                with pytest.raises(IndexOutOfRange):
+                    node_polarity(x, node)
 
 
 class TestCompose:
@@ -354,8 +373,8 @@ class TestMerge:
     def test_upper_hook_case(self):
         x = make_tangle(4, [(2, 3), (1, 4), ("1'", "2'"), ("3'", "4'")])
         result = merge(x, edge(2, 3), edge(1, 4))
-        assert edge(1, 2) in result.edge_set
-        assert edge(3, 4) in result.edge_set
+        assert edge(1, 2) in result.edges
+        assert edge(3, 4) in result.edges
 
     def test_undefined(self):
         x = make_tangle(4, [(2, 3), (1, "1'"), (4, "4'"), ("2'", "3'")])
@@ -371,6 +390,61 @@ class TestMerge:
         x = make_tangle(2, [(1, 2), ("1'", "2'")])
         with pytest.raises(EdgeNotInTangle):
             merge(x, edge(1, 2), edge(1, "1'"))
+
+    @staticmethod
+    def probe_edges(x):
+        """x's edges, the (n, n') transversal, edges x lacks and edges with
+        a node outside 1..n (top n+1 has the position of bottom n')."""
+        n, top, bottom = x.n, Row.TOP, Row.BOTTOM
+        nodes = [(top, n), (bottom, n), (top, n + 1), (top, 0), (bottom, n + 1), (top, 1)]
+        nodes = list(dict.fromkeys(nodes))
+        pairs = [(a, b) for k, a in enumerate(nodes) for b in nodes[k + 1 :]]
+        probes = [Edge(NodeRef(*a), NodeRef(*b)) for a, b in pairs]
+        return list(x.edges) + [e for e in dict.fromkeys(probes) if e not in x.edges]
+
+    @staticmethod
+    def reference_merge(x, h, e):
+        # The rule merge applied through a set of the edges and Edge.kind.
+        edge_set = frozenset(x.edges)
+        if h not in edge_set:
+            raise EdgeNotInTangle(f"{h} not in {x}")
+        if h.kind is not EdgeKind.UPPER_HOOK or h.size != 1:
+            raise NotASizeOneUpperHook(f"{h} is not an upper hook of size one")
+        if e not in edge_set:
+            raise EdgeNotInTangle(f"{e} not in {x}")
+        if e == h:
+            raise MergeUndefined("cannot merge a hook with itself")
+        n, hi = x.n, h.a.index - 1
+        p, q = sorted((node_position(n, e.a), node_position(n, e.b)))
+        targets = merge_targets(n, hi, p, q)
+        if targets is None:
+            raise MergeUndefined(f"merge of {h} with {e} is undefined")
+        pairing = list(x.pairing)
+        for a, b in (targets[:2], targets[2:]):
+            pairing[a], pairing[b] = b, a
+        return Tangle(n, tuple(pairing))
+
+    @staticmethod
+    def reference_edge_crossings(x, e):
+        if e not in frozenset(x.edges):
+            raise EdgeNotInTangle(f"{e} not in {x}")
+        return crossing_counts(x.n, x.pairing)[node_position(x.n, e.a)]
+
+    def test_merge_and_edge_crossings_equal_the_edge_set_rule(self):
+        from conftest import all_tangles, outcome
+
+        seen = set()
+        for n in range(1, 5):
+            for x in all_tangles(n):
+                probes = self.probe_edges(x)
+                for e in probes:
+                    expected = outcome(self.reference_edge_crossings, x, e)
+                    assert outcome(edge_crossings, x, e) == expected
+                    for h in probes:
+                        expected = outcome(self.reference_merge, x, h, e)
+                        assert outcome(merge, x, h, e) == expected
+                        seen.add(expected[0] if isinstance(expected, tuple) else Tangle)
+        assert seen == {Tangle, EdgeNotInTangle, NotASizeOneUpperHook, MergeUndefined}
 
     def test_inversion_exhaustive_b4(self):
         # Whenever defined, stacking U_i back on the merge reproduces x;
@@ -421,6 +495,11 @@ class TestReflect:
         x = parse_tangle(EX_B4)
         for axis in Axis:
             assert reflect(reflect(x, axis), axis) == x
+
+    @pytest.mark.parametrize("axis", ["horizontal", "vertical", 0])
+    def test_axis_must_be_an_axis(self, axis):
+        with pytest.raises(TypeError, match="is not an Axis"):
+            reflect(t_prime(3, 1), axis)
 
     def test_crossing_invariance(self):
         rng = random.Random(31)
@@ -507,6 +586,16 @@ class TestTextFormats:
     def test_word_factor_must_be_an_integer(self, factor):
         with pytest.raises(TypeError):
             Word(3, (factor,))
+
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_word_width_must_be_an_integer(self, n):
+        with pytest.raises(TypeError):
+            Word(n, ())
+
+    @pytest.mark.parametrize("factors", [(), (1,)])
+    def test_word_width_must_not_be_negative(self, factors):
+        with pytest.raises(IndexOutOfRange, match=r"^n must be >= 0, got -2$"):
+            Word(-2, factors)
 
     def test_word_factor_may_be_a_bool(self):
         assert Word(3, (True, -2)).factors == (1, -2)

@@ -94,7 +94,7 @@ class TestTau:
     def test_same_polarity_edges_do_not_cross(self, n):
         for x in all_tangles(n):
             y = tau(x)
-            added = [e for e in y.edges if e not in x.edge_set]
+            added = [e for e in y.edges if e not in x.edges]
             crossing = crossing_pairs(y)
             for e1 in added:
                 for e2 in added:
@@ -158,7 +158,7 @@ class TestLengths:
     def test_same_polarity_non_crossing_n6(self, db):
         for x in db[6].tangles():
             y = tau(x)
-            added = [e for e in y.edges if e not in x.edge_set]
+            added = [e for e in y.edges if e not in x.edges]
             crossing = crossing_pairs(y)
             for i, e1 in enumerate(added):
                 for e2 in added[i + 1 :]:
